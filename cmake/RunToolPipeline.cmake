@@ -1,10 +1,11 @@
-# End-to-end smoke of the four CLIs, invoked by the smoke_tools_pipeline
+# End-to-end smoke of the CLIs, invoked by the smoke_tools_pipeline
 # CTest entry: simulate a small dataset, build an index image, map the
 # pairs through the streaming driver, then score the SAM against truth.
 # Any non-zero exit fails the test.
 #
-# Required -D variables: GPX_SIMULATE GPX_INDEX GPX_MAP GPX_MAPEVAL WORK_DIR
-foreach(v GPX_SIMULATE GPX_INDEX GPX_MAP GPX_MAPEVAL WORK_DIR)
+# Required -D variables: GPX_SIMULATE GPX_INDEX GPX_MAP GPX_SERVE
+# GPX_MAPEVAL WORK_DIR
+foreach(v GPX_SIMULATE GPX_INDEX GPX_MAP GPX_SERVE GPX_MAPEVAL WORK_DIR)
     if(NOT DEFINED ${v})
         message(FATAL_ERROR "RunToolPipeline.cmake needs -D${v}=...")
     endif()
@@ -22,7 +23,40 @@ endfunction()
 
 run_step(${GPX_SIMULATE} --out ${WORK_DIR}/sim
     --length 262144 --chromosomes 1 --pairs 1000)
-run_step(${GPX_INDEX} --ref ${WORK_DIR}/sim.fa --out ${WORK_DIR}/sim.gpx)
+run_step(${GPX_INDEX} --ref ${WORK_DIR}/sim.fa --out ${WORK_DIR}/sim.gpx
+    --threads 1 --shards 4)
+
+# The image is a pure function of the reference and the options: the
+# build thread count must not change a single byte.
+run_step(${GPX_INDEX} --ref ${WORK_DIR}/sim.fa --out ${WORK_DIR}/sim4.gpx
+    --threads 4 --shards 4)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+    ${WORK_DIR}/sim.gpx ${WORK_DIR}/sim4.gpx RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "gpx_index --threads 1 and --threads 4 images differ")
+endif()
+
+# An image is bound to the FASTA it was built from: mapping against
+# another reference must be a clean diagnostic exit, not an abort and
+# not a silently wrong SAM.
+run_step(${GPX_SIMULATE} --out ${WORK_DIR}/other
+    --length 262144 --chromosomes 1 --pairs 10 --seed 2)
+execute_process(COMMAND ${GPX_MAP} --ref ${WORK_DIR}/other.fa
+    --index ${WORK_DIR}/sim.gpx
+    --r1 ${WORK_DIR}/sim_1.fq --r2 ${WORK_DIR}/sim_2.fq
+    --out ${WORK_DIR}/mismatch.sam
+    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "different reference")
+    message(FATAL_ERROR
+        "gpx_map: mismatched FASTA not rejected cleanly (rc=${rc}): ${err}")
+endif()
+execute_process(COMMAND ${GPX_SERVE} --ref ${WORK_DIR}/other.fa
+    --index ${WORK_DIR}/sim.gpx --socket ${WORK_DIR}/serve.sock
+    TIMEOUT 60 RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "different reference")
+    message(FATAL_ERROR
+        "gpx_serve: mismatched FASTA not rejected cleanly (rc=${rc}): ${err}")
+endif()
 run_step(${GPX_MAP} --ref ${WORK_DIR}/sim.fa --index ${WORK_DIR}/sim.gpx
     --r1 ${WORK_DIR}/sim_1.fq --r2 ${WORK_DIR}/sim_2.fq
     --out ${WORK_DIR}/out.sam --threads 2 --io-threads 2

@@ -188,20 +188,43 @@ MinimizerIndex::MinimizerIndex(const genomics::Reference &ref,
         return a.pos < b.pos;
     });
 
+    struct Tables
+    {
+        std::vector<u64> hashes;
+        std::vector<u64> offsets;
+        std::vector<Entry> entries;
+    };
+    auto tables = std::make_shared<Tables>();
     std::size_t i = 0;
     while (i < recs.size()) {
         std::size_t j = i;
         while (j < recs.size() && recs[j].hash == recs[i].hash)
             ++j;
         if (j - i <= params_.maxOccurrences) {
-            hashes_.push_back(recs[i].hash);
-            offsets_.push_back(entries_.size());
+            tables->hashes.push_back(recs[i].hash);
+            tables->offsets.push_back(tables->entries.size());
             for (std::size_t t = i; t < j; ++t)
-                entries_.push_back({ recs[t].pos, recs[t].reverse });
+                tables->entries.push_back({ recs[t].pos, recs[t].reverse });
         }
         i = j;
     }
-    offsets_.push_back(entries_.size());
+    tables->offsets.push_back(tables->entries.size());
+    hashes_ = tables->hashes;
+    offsets_ = tables->offsets;
+    entries_ = tables->entries;
+    backing_ = std::move(tables);
+}
+
+MinimizerIndex::MinimizerIndex(const MinimizerParams &params,
+                               std::span<const u64> hashes,
+                               std::span<const u64> offsets,
+                               std::span<const Entry> entries,
+                               std::shared_ptr<const void> backing)
+    : params_(params), backing_(std::move(backing)), hashes_(hashes),
+      offsets_(offsets), entries_(entries)
+{
+    gpx_assert(offsets_.size() == hashes_.size() + 1,
+               "minimizer CSR needs one offset per hash plus a sentinel");
 }
 
 std::span<const MinimizerIndex::Entry>

@@ -10,6 +10,7 @@
 #ifndef GPX_BASELINE_MINIMIZER_INDEX_HH
 #define GPX_BASELINE_MINIMIZER_INDEX_HH
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -54,19 +55,44 @@ std::vector<Minimizer> extractMinimizers(const genomics::DnaView &seq,
 std::vector<Minimizer> extractMinimizersScalar(const genomics::DnaView &seq,
                                                const MinimizerParams &params);
 
-/** Sorted minimizer table over a reference genome. */
+/**
+ * Sorted minimizer table over a reference genome, in CSR form: sorted
+ * unique hashes, one offset per hash into the entry table, and the
+ * entries. The tables are spans, so the same type serves an index
+ * built in memory and one served in place from a SeedMap image
+ * (genpair::SeedMapImage::fallbackIndex()).
+ */
 class MinimizerIndex
 {
   public:
-    /** Index entry: reference position and strand of one occurrence. */
+    /**
+     * Index entry: reference position and strand of one occurrence.
+     * The padding is an explicit, zeroed member because index images
+     * store entries byte for byte.
+     */
     struct Entry
     {
         GlobalPos pos;
         bool reverse;
+        u8 reserved[7] = {};
     };
+    static_assert(sizeof(Entry) == 16);
 
+    /** Build the index from the reference (the in-process path). */
     MinimizerIndex(const genomics::Reference &ref,
                    const MinimizerParams &params);
+
+    /**
+     * Serve prebuilt tables in place. The caller has validated them:
+     * @p hashes strictly increasing, @p offsets hashes.size()+1
+     * monotone entries from 0 to entries.size(). @p backing keeps the
+     * tables' storage alive for as long as this index (or a copy) is.
+     */
+    MinimizerIndex(const MinimizerParams &params,
+                   std::span<const u64> hashes,
+                   std::span<const u64> offsets,
+                   std::span<const Entry> entries,
+                   std::shared_ptr<const void> backing);
 
     const MinimizerParams &params() const { return params_; }
 
@@ -75,11 +101,17 @@ class MinimizerIndex
 
     u64 numEntries() const { return entries_.size(); }
 
+    /** The CSR tables (what an index image stores). */
+    std::span<const u64> hashes() const { return hashes_; }
+    std::span<const u64> offsets() const { return offsets_; }
+    std::span<const Entry> entries() const { return entries_; }
+
   private:
     MinimizerParams params_;
-    std::vector<u64> hashes_;   ///< sorted unique hashes
-    std::vector<u64> offsets_;  ///< CSR offsets into entries_
-    std::vector<Entry> entries_;
+    std::shared_ptr<const void> backing_; ///< owns the tables' storage
+    std::span<const u64> hashes_;  ///< sorted unique hashes
+    std::span<const u64> offsets_; ///< CSR offsets into entries_
+    std::span<const Entry> entries_;
 };
 
 } // namespace baseline

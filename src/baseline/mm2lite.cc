@@ -48,6 +48,9 @@ Mm2Lite::Mm2Lite(const genomics::Reference &ref, const Mm2LiteParams &params,
     : ref_(ref), params_(params), index_(std::move(index))
 {
     gpx_assert(index_, "shared index must not be null");
+    // Reads must be sketched with the scheme the index was built with;
+    // an index served from an image carries its own (k, w).
+    params_.minimizers = index_->params();
 }
 
 std::vector<Anchor>

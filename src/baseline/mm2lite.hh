@@ -61,8 +61,9 @@ class Mm2Lite
     Mm2Lite(const genomics::Reference &ref, const Mm2LiteParams &params);
 
     /**
-     * Construct with a pre-built shared index (the parallel driver
-     * builds the index once and hands it to per-thread mappers).
+     * Construct with a shared index (built once in memory or served
+     * from an image, then handed to per-thread mappers). The index's
+     * minimizer scheme overrides params.minimizers.
      */
     Mm2Lite(const genomics::Reference &ref, const Mm2LiteParams &params,
             std::shared_ptr<const MinimizerIndex> index);

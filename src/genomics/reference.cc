@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.hh"
+#include "util/xxhash.hh"
 
 namespace gpx {
 namespace genomics {
@@ -16,6 +17,20 @@ Reference::addChromosome(std::string name, DnaSequence seq)
     names_.push_back(std::move(name));
     chroms_.push_back(std::move(seq));
     return id;
+}
+
+u64
+Reference::fingerprint() const
+{
+    u64 h = 0;
+    for (std::size_t c = 0; c < chroms_.size(); ++c) {
+        const u64 len = chroms_[c].size();
+        h = util::xxh64(names_[c].data(), names_[c].size(), h);
+        h = util::xxh64(&len, sizeof(len), h);
+        h = util::xxh64(chroms_[c].packed().data(),
+                        chroms_[c].packed().size(), h);
+    }
+    return h;
 }
 
 ChromPos

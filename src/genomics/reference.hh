@@ -48,6 +48,16 @@ class Reference
     /** Total number of bases across all chromosomes. */
     u64 totalLength() const { return total_; }
 
+    /**
+     * Identity of the reference: xxh64 chained (each call seeded with
+     * the previous digest, starting from 0) over every chromosome's
+     * name bytes, its length as a little-endian u64, and its packed
+     * bases (4 per byte, LSB-first, tail bits zero). Index images
+     * record it so they are only ever served over the FASTA they were
+     * built from.
+     */
+    u64 fingerprint() const;
+
     /** Convert a global position to (chromosome, offset). */
     ChromPos toChromPos(GlobalPos pos) const;
 

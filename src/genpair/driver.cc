@@ -42,12 +42,14 @@ ParallelMapper::ParallelMapper(const genomics::Reference &ref,
     gpx_assert(!config_.recordTrace || config_.useGenPair,
                "recordTrace records GenPair stage events; it requires "
                "useGenPair");
-    sharedIndex_ = std::make_shared<const baseline::MinimizerIndex>(
-        ref, config_.fallback.minimizers);
+    if (!config_.fallbackIndex)
+        config_.fallbackIndex =
+            std::make_shared<const baseline::MinimizerIndex>(
+                ref, config_.fallback.minimizers);
     engine_ = std::make_unique<MapperEngine>(
         config_.threads, [this](u32 /*slot*/) {
             return std::make_unique<PairWorkerContext>(
-                ref_, map_, config_, sharedIndex_);
+                ref_, map_, config_, config_.fallbackIndex);
         });
 }
 

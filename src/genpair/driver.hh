@@ -8,7 +8,7 @@
  * the persistent worker pool, the block cursor and the run timing.
  * This driver contributes the per-worker engines (Mm2Lite fallback +
  * GenPairPipeline, built once at pool start-up over the shared
- * read-only index) and the block function: each claimed block runs as
+ * read-only indexes) and the block function: each claimed block runs as
  * one SoA batch through the stage graph (stages.hh). Mapping is
  * per-pair pure and results land at the pair's input index, so output
  * is bit-identical to a serial run regardless of scheduling.
@@ -38,6 +38,14 @@ struct DriverConfig
     GenPairParams pipeline;
     baseline::Mm2LiteParams fallback;
     bool useGenPair = true; ///< false = pure MM2-lite baseline runs
+
+    /**
+     * The fallback's minimizer index, shared read-only by every
+     * worker: SeedMapImage::fallbackIndex() when mapping over an
+     * image. Null = build it from the reference at pool start-up (the
+     * inline path, with `fallback.minimizers`).
+     */
+    std::shared_ptr<const baseline::MinimizerIndex> fallbackIndex;
 
     /**
      * Record per-pair stage events (PairTraceRecord) for hwsim
@@ -104,8 +112,7 @@ class ParallelMapper
     const genomics::Reference &ref_;
     SeedMapView map_;
     DriverConfig config_;
-    std::shared_ptr<const baseline::MinimizerIndex> sharedIndex_;
-    /** Built after sharedIndex_ (workers capture it); one pool. */
+    /** Workers capture config_.fallbackIndex; one pool. */
     std::unique_ptr<MapperEngine> engine_;
     /** Serializes mapAllShared() callers around the pool + stats. */
     std::mutex mapMu_;

@@ -166,15 +166,17 @@ struct LongReadWorkerContext : WorkerContext
 
 } // namespace
 
-LongReadDriver::LongReadDriver(const genomics::Reference &ref,
-                               const SeedMapView &map,
-                               const LongReadParams &params,
-                               const baseline::Mm2LiteParams &dp_params,
-                               u32 threads)
-    : ref_(ref), map_(map), params_(params), dpParams_(dp_params)
+LongReadDriver::LongReadDriver(
+    const genomics::Reference &ref, const SeedMapView &map,
+    const LongReadParams &params,
+    const baseline::Mm2LiteParams &dp_params, u32 threads,
+    std::shared_ptr<const baseline::MinimizerIndex> fallback_index)
+    : ref_(ref), map_(map), params_(params), dpParams_(dp_params),
+      sharedIndex_(std::move(fallback_index))
 {
-    sharedIndex_ = std::make_shared<const baseline::MinimizerIndex>(
-        ref, dpParams_.minimizers);
+    if (!sharedIndex_)
+        sharedIndex_ = std::make_shared<const baseline::MinimizerIndex>(
+            ref, dpParams_.minimizers);
     engine_ = std::make_unique<MapperEngine>(
         threads,
         [this](u32 /*slot*/) {

@@ -127,11 +127,15 @@ class LongReadDriver
   public:
     /**
      * @param threads Worker count; 0 = hardware concurrency.
+     * @param fallback_index The DP engines' minimizer index, as in
+     *        DriverConfig::fallbackIndex; null = build it from @p ref.
      */
-    LongReadDriver(const genomics::Reference &ref, const SeedMapView &map,
-                   const LongReadParams &params,
-                   const baseline::Mm2LiteParams &dp_params = {},
-                   u32 threads = 0);
+    LongReadDriver(
+        const genomics::Reference &ref, const SeedMapView &map,
+        const LongReadParams &params,
+        const baseline::Mm2LiteParams &dp_params = {}, u32 threads = 0,
+        std::shared_ptr<const baseline::MinimizerIndex> fallback_index =
+            nullptr);
 
     /** Map all reads; mappings[i] corresponds to reads[i]. */
     LongReadResult mapAll(const std::vector<genomics::Read> &reads);

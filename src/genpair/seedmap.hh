@@ -79,7 +79,7 @@ u32 hashSeedValueAt(const genomics::DnaView &read, u64 offset,
  * power-of-two-sized range of masked seed-hash values; seedTable holds
  * hashCount+1 offsets that are *local* to this shard's locations span.
  *
- * The spans are non-owning: in the mmap-backed v2 image path they point
+ * The spans are non-owning: in the mmap-backed image path they point
  * straight into kernel-shared file pages.
  */
 struct SeedMapShardView
@@ -94,7 +94,7 @@ struct SeedMapShardView
  * own. The whole query path (PartitionedSeeder, queryCandidates,
  * GenPairPipeline, the serial/pool/streaming drivers, LongReadMapper,
  * the NMSL workload builder) consumes this type, so an owning SeedMap,
- * a memory-mapped v2 image and any future remote/tiered backend are
+ * a memory-mapped image and any future remote/tiered backend are
  * interchangeable at every call site.
  *
  * Cheap to copy (a few words plus a span of shard descriptors). The
@@ -246,14 +246,6 @@ class SeedMap
     {
         return locationTable_;
     }
-
-    /**
-     * Reconstruct a SeedMap from previously built tables (the
-     * deserialization path; occupancy statistics are recomputed).
-     */
-    static SeedMap fromTables(const SeedMapParams &params, u32 table_bits,
-                              std::vector<u32> seed_table,
-                              std::vector<u32> location_table);
 
   private:
     SeedMap() = default;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <fstream>
-#include <istream>
 #include <ostream>
 
 #include "util/fault.hh"
@@ -17,13 +15,6 @@ namespace genpair {
 
 namespace {
 
-void
-setError(std::string *error, const std::string &msg)
-{
-    if (error != nullptr)
-        *error = "seedmap image: " + msg;
-}
-
 u64
 alignUp(u64 value)
 {
@@ -31,308 +22,256 @@ alignUp(u64 value)
            ~(kSeedMapSectionAlign - 1);
 }
 
-void
-writePadding(std::ostream &os, u64 written)
-{
-    static const char zeros[kSeedMapSectionAlign] = {};
-    u64 pad = alignUp(written) - written;
-    if (pad > 0)
-        os.write(zeros, static_cast<std::streamsize>(pad));
-}
-
-/** Parsed v2 image: shard views into caller-owned bytes. */
-struct ParsedV2
+/** Parsed image: section views into caller-owned bytes. */
+struct ParsedImage
 {
     SeedMapParams params;
-    u32 tableBits = 0;
     std::vector<SeedMapShardView> shards;
+    baseline::MinimizerParams fallbackParams;
+    std::span<const u64> fallbackHashes;
+    std::span<const u64> fallbackOffsets;
+    std::span<const baseline::MinimizerIndex::Entry> fallbackEntries;
 };
 
 /**
- * Validate a v2 image held in memory and carve the shard views out of
- * it. @p data must stay alive as long as the returned views. Rejects —
- * with a diagnostic — any header/directory/bounds/checksum violation;
- * the fuzz suite drives every branch here.
+ * True iff @p v[0, n) never steps down (strictly ascending when
+ * @p Strict). A branchless block scan that vectorizes; damaged images
+ * are the rare case, so nothing locates the offending entry.
  */
-std::optional<ParsedV2>
-parseV2Image(const u8 *data, u64 size, const SeedMapOpenOptions &options,
-             std::string *error)
+template <bool Strict, typename T>
+bool
+ascending(const T *v, u64 n)
 {
-    SeedMapImageHeaderV2 hdr;
-    if (size < sizeof(hdr)) {
-        setError(error, "truncated before the v2 header (" +
-                            std::to_string(size) + " bytes)");
-        return std::nullopt;
+    for (u64 i = 0; i + 1 < n;) {
+        const u64 end = std::min<u64>(n - 1, i + 4096);
+        u32 bad = 0;
+        for (; i < end; ++i)
+            bad |= static_cast<u32>(Strict ? v[i] >= v[i + 1]
+                                           : v[i] > v[i + 1]);
+        if (bad != 0)
+            return false;
     }
+    return true;
+}
+
+/** True iff [offset, offset + bytes) is an aligned range of the image. */
+bool
+sectionInBounds(u64 offset, u64 bytes, u64 size)
+{
+    return offset % kSeedMapSectionAlign == 0 && offset <= size &&
+           bytes <= size - offset;
+}
+
+/**
+ * Validate and carve the fallback index sections; returns a diagnostic,
+ * empty on success. Structural checks run even without payload
+ * verification: a checksum proves the bytes are the author's, not that
+ * the author's CSR is sane, and lookup() and the DP fallback trust
+ * every offset and position.
+ */
+std::string
+parseFallback(const u8 *data, u64 size, const SeedMapImageHeader &hdr,
+              const MinimizerDirEntry &ent, bool verify, ParsedImage &out)
+{
+    using Entry = baseline::MinimizerIndex::Entry;
+    if (ent.hashCount >= size / sizeof(u64) ||
+        ent.entryCount > size / sizeof(Entry))
+        return "section sizes exceed the image";
+    const u64 hashBytes = ent.hashCount * sizeof(u64);
+    const u64 offsetBytes = (ent.hashCount + 1) * sizeof(u64);
+    const u64 entryBytes = ent.entryCount * sizeof(Entry);
+    if (!sectionInBounds(ent.hashesOffset, hashBytes, size) ||
+        !sectionInBounds(ent.offsetsOffset, offsetBytes, size) ||
+        !sectionInBounds(ent.entriesOffset, entryBytes, size))
+        return "section out of bounds";
+    const auto *hashes =
+        reinterpret_cast<const u64 *>(data + ent.hashesOffset);
+    const auto *offsets =
+        reinterpret_cast<const u64 *>(data + ent.offsetsOffset);
+    const u8 *entries = data + ent.entriesOffset;
+    if (verify && (util::xxh64(hashes, hashBytes) != ent.hashesChecksum ||
+                   util::xxh64(offsets, offsetBytes) != ent.offsetsChecksum ||
+                   util::xxh64(entries, entryBytes) != ent.entriesChecksum))
+        return "section checksum mismatch";
+    if (offsets[0] != 0 || offsets[ent.hashCount] != ent.entryCount)
+        return "CSR offsets do not cover the " +
+               std::to_string(ent.entryCount) + " entries";
+    if (!ascending<false>(offsets, ent.hashCount + 1))
+        return "CSR offsets are not monotone";
+    if (!ascending<true>(hashes, ent.hashCount))
+        return "hashes are not sorted and unique";
+    // Each entry is (position, strand byte + 7 zero bytes) as two
+    // little-endian words: the position must lie in the reference and
+    // the second word must be 0 or 1 (a valid bool, zero padding).
+    u32 bad = 0;
+    for (u64 i = 0; i < ent.entryCount; ++i) {
+        u64 words[2];
+        std::memcpy(words, entries + i * sizeof(Entry), sizeof(words));
+        bad |= static_cast<u32>(words[0] >= hdr.referenceLength) |
+               static_cast<u32>(words[1] > 1);
+    }
+    if (bad != 0)
+        return "entry position past the reference length " +
+               std::to_string(hdr.referenceLength) + " or malformed strand";
+    out.fallbackParams = { hdr.minimizerK, hdr.minimizerW,
+                           hdr.minimizerMaxOccurrences };
+    out.fallbackHashes = { hashes, ent.hashCount };
+    out.fallbackOffsets = { offsets, ent.hashCount + 1 };
+    out.fallbackEntries = { reinterpret_cast<const Entry *>(entries),
+                            ent.entryCount };
+    return {};
+}
+
+/** Validate and carve shard @p s; returns a diagnostic, empty if sane. */
+std::string
+parseShard(const u8 *data, u64 size, const SeedMapShardDirEntry &ent,
+           u64 hashPerShard, bool verify, ParsedImage &out)
+{
+    if (ent.hashCount != hashPerShard)
+        return "hash range " + std::to_string(ent.hashCount) +
+               " does not partition the seed table (want " +
+               std::to_string(hashPerShard) + ")";
+    if (ent.seedTableEntries != ent.hashCount + 1)
+        return "seed table entry count " +
+               std::to_string(ent.seedTableEntries) + " is not hashCount+1";
+    if (ent.locationEntries > (u64{ 1 } << 32))
+        return "location entry count overflows the 32-bit location space";
+    const u64 seedBytes = ent.seedTableEntries * sizeof(u32);
+    const u64 locBytes = ent.locationEntries * sizeof(u32);
+    if (!sectionInBounds(ent.seedTableOffset, seedBytes, size))
+        return "seed table section out of bounds";
+    if (!sectionInBounds(ent.locationOffset, locBytes, size))
+        return "location section out of bounds";
+    const auto *seedTable =
+        reinterpret_cast<const u32 *>(data + ent.seedTableOffset);
+    const auto *locations =
+        reinterpret_cast<const u32 *>(data + ent.locationOffset);
+    if (verify && util::xxh64(seedTable, seedBytes) != ent.seedTableChecksum)
+        return "seed table checksum mismatch";
+    if (verify && util::xxh64(locations, locBytes) != ent.locationChecksum)
+        return "location table checksum mismatch";
+    // The local CSR's structure, checked with or without the checksums
+    // (see parseFallback): monotonicity plus the endpoints bound every
+    // interior entry to [0, locationEntries].
+    if (seedTable[0] != 0 ||
+        seedTable[ent.seedTableEntries - 1] != ent.locationEntries)
+        return "local CSR does not cover the location slice";
+    if (!ascending<false>(seedTable, ent.seedTableEntries))
+        return "local CSR is not monotone";
+    out.shards.push_back({ { seedTable, ent.seedTableEntries },
+                           { locations, ent.locationEntries } });
+    return {};
+}
+
+/**
+ * Validate an image held in memory and carve the section views out of
+ * it; returns a diagnostic, empty on success. @p data must stay alive
+ * as long as the views in @p out. The fuzz suite drives every branch.
+ */
+std::string
+parseImage(const u8 *data, u64 size, const SeedMapOpenOptions &options,
+           ParsedImage &out)
+{
+    u32 magicVersion[2];
+    if (size < sizeof(magicVersion))
+        return "file too small to be a SeedMap image (" +
+               std::to_string(size) + " bytes)";
+    std::memcpy(magicVersion, data, sizeof(magicVersion));
+    if (magicVersion[0] != SeedMapImageHeader::kMagic)
+        return "not a SeedMap image (bad magic)";
+    if (magicVersion[1] != SeedMapImageHeader::kVersion)
+        return "unsupported image version " +
+               std::to_string(magicVersion[1]) + "; rebuild with gpx_index";
+    SeedMapImageHeader hdr;
+    if (size < sizeof(hdr))
+        return "truncated before the end of the header (" +
+               std::to_string(size) + " bytes)";
     std::memcpy(&hdr, data, sizeof(hdr));
-    if (hdr.magic != SeedMapImageHeader::kMagic ||
-        hdr.version != SeedMapImageHeaderV2::kVersion) {
-        setError(error, "bad magic/version for a v2 image");
-        return std::nullopt;
-    }
-    u64 wantHeaderSum = util::xxh64(data, sizeof(hdr) - sizeof(u64));
-    if (hdr.headerChecksum != wantHeaderSum) {
-        setError(error, "header checksum mismatch");
-        return std::nullopt;
-    }
-    if (hdr.fileBytes != size) {
-        setError(error, "file size " + std::to_string(size) +
-                            " does not match header fileBytes " +
-                            std::to_string(hdr.fileBytes));
-        return std::nullopt;
-    }
-    if (hdr.seedLen < 8 || hdr.seedLen > kMaxSeedLen) {
-        setError(error,
-                 "unsupported seed length " + std::to_string(hdr.seedLen));
-        return std::nullopt;
-    }
-    if (hdr.tableBits == 0 || hdr.tableBits > 30) {
-        setError(error,
-                 "table bits out of range: " + std::to_string(hdr.tableBits));
-        return std::nullopt;
-    }
+    if (hdr.headerChecksum != util::xxh64(data, sizeof(hdr) - sizeof(u64)))
+        return "header checksum mismatch";
+    if (hdr.fileBytes != size)
+        return "file size " + std::to_string(size) +
+               " does not match header fileBytes " +
+               std::to_string(hdr.fileBytes);
+    if (hdr.seedLen < 8 || hdr.seedLen > kMaxSeedLen)
+        return "unsupported seed length " + std::to_string(hdr.seedLen);
+    if (hdr.tableBits == 0 || hdr.tableBits > 30)
+        return "table bits out of range: " + std::to_string(hdr.tableBits);
+    if (hdr.minimizerK < 4 || hdr.minimizerK > 31 || hdr.minimizerW == 0 ||
+        hdr.minimizerW > 255)
+        return "fallback minimizer scheme out of range: k=" +
+               std::to_string(hdr.minimizerK) +
+               " w=" + std::to_string(hdr.minimizerW);
+    const genomics::Reference *ref = options.reference;
+    if (ref != nullptr && (hdr.referenceFingerprint != ref->fingerprint() ||
+                           hdr.referenceLength != ref->totalLength()))
+        return "built from a different reference (" +
+               std::to_string(hdr.referenceLength) + " bp image vs " +
+               std::to_string(ref->totalLength()) +
+               " bp FASTA, or same length, other sequence); rebuild with "
+               "gpx_index";
     const u64 tableEntries = u64{ 1 } << hdr.tableBits;
     if (hdr.shardCount == 0 || !std::has_single_bit(hdr.shardCount) ||
-        hdr.shardCount > tableEntries) {
-        setError(error, "shard count must be a power of two in [1, 2^" +
-                            std::to_string(hdr.tableBits) + "], got " +
-                            std::to_string(hdr.shardCount));
-        return std::nullopt;
-    }
-    const u64 dirBytes = u64{ hdr.shardCount } * sizeof(SeedMapShardDirEntry);
-    if (hdr.directoryOffset % kSeedMapSectionAlign != 0 ||
-        hdr.directoryOffset < sizeof(hdr) ||
-        hdr.directoryOffset > size || dirBytes > size - hdr.directoryOffset) {
-        setError(error, "shard directory out of bounds");
-        return std::nullopt;
-    }
-    u64 wantDirSum = util::xxh64(data + hdr.directoryOffset, dirBytes);
-    if (hdr.directoryChecksum != wantDirSum) {
-        setError(error, "shard directory checksum mismatch");
-        return std::nullopt;
-    }
+        hdr.shardCount > tableEntries)
+        return "shard count must be a power of two in [1, 2^" +
+               std::to_string(hdr.tableBits) + "], got " +
+               std::to_string(hdr.shardCount);
+    const u64 shardDirBytes =
+        u64{ hdr.shardCount } * sizeof(SeedMapShardDirEntry);
+    const u64 dirBytes = shardDirBytes + sizeof(MinimizerDirEntry);
+    if (hdr.directoryOffset < sizeof(hdr) ||
+        !sectionInBounds(hdr.directoryOffset, dirBytes, size))
+        return "directory out of bounds";
+    const u8 *dir = data + hdr.directoryOffset;
+    if (hdr.directoryChecksum != util::xxh64(dir, dirBytes))
+        return "directory checksum mismatch";
 
-    ParsedV2 out;
     out.params.seedLen = hdr.seedLen;
     out.params.tableBits = hdr.tableBits;
     out.params.filterThreshold = hdr.filterThreshold;
-    out.tableBits = hdr.tableBits;
     out.shards.reserve(hdr.shardCount);
-
-    const u64 hashPerShard = tableEntries / hdr.shardCount;
+    u64 totalLocations = 0;
     for (u32 s = 0; s < hdr.shardCount; ++s) {
         SeedMapShardDirEntry ent;
-        std::memcpy(&ent,
-                    data + hdr.directoryOffset +
-                        u64{ s } * sizeof(SeedMapShardDirEntry),
-                    sizeof(ent));
-        const std::string where = "shard " + std::to_string(s) + ": ";
-        if (ent.hashCount != hashPerShard) {
-            setError(error, where + "hash range " +
-                                std::to_string(ent.hashCount) +
-                                " does not partition the seed table (want " +
-                                std::to_string(hashPerShard) + ")");
-            return std::nullopt;
-        }
-        if (ent.seedTableEntries != ent.hashCount + 1) {
-            setError(error, where + "seed table entry count " +
-                                std::to_string(ent.seedTableEntries) +
-                                " is not hashCount+1");
-            return std::nullopt;
-        }
-        if (ent.locationEntries > (u64{ 1 } << 32)) {
-            setError(error, where + "location entry count overflows the "
-                                    "32-bit location space");
-            return std::nullopt;
-        }
-        const u64 seedBytes = ent.seedTableEntries * sizeof(u32);
-        const u64 locBytes = ent.locationEntries * sizeof(u32);
-        if (ent.seedTableOffset % kSeedMapSectionAlign != 0 ||
-            ent.seedTableOffset > size || seedBytes > size - ent.seedTableOffset) {
-            setError(error, where + "seed table section out of bounds");
-            return std::nullopt;
-        }
-        if (ent.locationOffset % kSeedMapSectionAlign != 0 ||
-            ent.locationOffset > size || locBytes > size - ent.locationOffset) {
-            setError(error, where + "location section out of bounds");
-            return std::nullopt;
-        }
-        const u32 *seedTable =
-            reinterpret_cast<const u32 *>(data + ent.seedTableOffset);
-        const u32 *locations =
-            reinterpret_cast<const u32 *>(data + ent.locationOffset);
-        if (options.verifyPayload) {
-            if (util::xxh64(seedTable, seedBytes) != ent.seedTableChecksum) {
-                setError(error, where + "seed table checksum mismatch");
-                return std::nullopt;
-            }
-            if (util::xxh64(locations, locBytes) != ent.locationChecksum) {
-                setError(error, where + "location table checksum mismatch");
-                return std::nullopt;
-            }
-        }
-        // Structural invariants of the local CSR that lookups rely on.
-        // These are NOT optional alongside the checksums: a checksum
-        // only proves the bytes are the author's, not that the author's
-        // CSR is sane, and lookup() turns any non-monotone entry into
-        // an out-of-bounds span. Monotonicity plus the endpoint checks
-        // bound every interior entry to [0, locationEntries].
-        if (seedTable[0] != 0 ||
-            seedTable[ent.seedTableEntries - 1] != ent.locationEntries) {
-            setError(error, where + "local CSR does not cover the "
-                                    "location slice");
-            return std::nullopt;
-        }
-        // Branchless block scan (vectorizes); damaged images are the
-        // rare case, so locate the offending entry only on failure.
-        bool monotone = true;
-        for (u64 i = 0; i + 1 < ent.seedTableEntries;) {
-            u64 end = std::min<u64>(ent.seedTableEntries - 1, i + 4096);
-            u32 bad = 0;
-            for (; i < end; ++i)
-                bad |= static_cast<u32>(seedTable[i] > seedTable[i + 1]);
-            if (bad != 0) {
-                monotone = false;
-                break;
-            }
-        }
-        if (!monotone) {
-            setError(error, where + "local CSR is not monotone");
-            return std::nullopt;
-        }
-        out.shards.push_back(
-            { { seedTable, ent.seedTableEntries },
-              { locations, ent.locationEntries } });
+        std::memcpy(&ent, dir + u64{ s } * sizeof(ent), sizeof(ent));
+        std::string bad = parseShard(data, size, ent,
+                                     tableEntries / hdr.shardCount,
+                                     options.verifyPayload, out);
+        if (!bad.empty())
+            return "shard " + std::to_string(s) + ": " + bad;
+        totalLocations += ent.locationEntries;
     }
-    // The global CSR rebuilt from these shards stores 32-bit offsets;
-    // a crafted directory whose slices sum past that wraps the rebase.
-    u64 totalLocations = 0;
-    for (const auto &sh : out.shards)
-        totalLocations += sh.locations.size();
-    if (totalLocations > u64{ 0xFFFFFFFF }) {
-        setError(error, "total location count " +
-                            std::to_string(totalLocations) +
-                            " overflows the 32-bit offset space");
-        return std::nullopt;
-    }
-    return out;
+    // Lookups rebase shard-local offsets in 32 bits; a crafted
+    // directory whose slices sum past that would wrap.
+    if (totalLocations > u64{ 0xFFFFFFFF })
+        return "total location count " + std::to_string(totalLocations) +
+               " overflows the 32-bit offset space";
+
+    MinimizerDirEntry fallback;
+    std::memcpy(&fallback, dir + shardDirBytes, sizeof(fallback));
+    std::string bad = parseFallback(data, size, hdr, fallback,
+                                    options.verifyPayload, out);
+    if (!bad.empty())
+        return "fallback index: " + bad;
+    return {};
 }
 
-/** Reassemble an owning SeedMap from parsed v2 shards (the copy path). */
-SeedMap
-materializeV2(const ParsedV2 &parsed)
+/** Write @p bytes of @p data, then zero-pad to the section alignment. */
+void
+writeSection(std::ostream &os, const void *data, u64 bytes)
 {
-    const u64 tableEntries = u64{ 1 } << parsed.tableBits;
-    std::vector<u32> seedTable;
-    seedTable.reserve(tableEntries + 1);
-    std::vector<u32> locations;
-    u64 total = 0;
-    for (const auto &sh : parsed.shards)
-        total += sh.locations.size();
-    locations.reserve(total);
-    u32 base = 0;
-    for (const auto &sh : parsed.shards) {
-        // Drop each shard's trailing sentinel: the next shard's first
-        // local offset (0) rebased by the accumulated count continues
-        // the global CSR exactly where this shard ended.
-        for (std::size_t i = 0; i + 1 < sh.seedTable.size(); ++i)
-            seedTable.push_back(base + sh.seedTable[i]);
-        locations.insert(locations.end(), sh.locations.begin(),
-                         sh.locations.end());
-        base += static_cast<u32>(sh.locations.size());
-    }
-    seedTable.push_back(base);
-    return SeedMap::fromTables(parsed.params, parsed.tableBits,
-                               std::move(seedTable), std::move(locations));
-}
-
-std::optional<SeedMap>
-loadSeedMapV1Body(std::istream &is, const SeedMapImageHeader &hdr,
-                  std::string *error)
-{
-    if (hdr.tableBits > 30 ||
-        hdr.seedTableEntries != (u64{ 1 } << hdr.tableBits) + 1) {
-        setError(error, "v1 seed table size does not match table bits");
-        return std::nullopt;
-    }
-    if (hdr.locationEntries > (u64{ 1 } << 32)) {
-        // Bound the allocation before trusting a header the v1 format
-        // never checksummed.
-        setError(error, "v1 location entry count overflows the 32-bit "
-                        "location space");
-        return std::nullopt;
-    }
-
-    std::vector<u32> seedTable(hdr.seedTableEntries);
-    is.read(reinterpret_cast<char *>(seedTable.data()),
-            static_cast<std::streamsize>(hdr.seedTableEntries *
-                                         sizeof(u32)));
-    std::vector<u32> locationTable(hdr.locationEntries);
-    is.read(reinterpret_cast<char *>(locationTable.data()),
-            static_cast<std::streamsize>(hdr.locationEntries *
-                                         sizeof(u32)));
-    if (!is) {
-        setError(error, "v1 image truncated mid-table");
-        return std::nullopt;
-    }
-
-    u64 checksum = util::xxh64(locationTable.data(),
-                               locationTable.size() * sizeof(u32));
-    if (checksum != hdr.payloadChecksum) {
-        setError(error, "v1 payload checksum mismatch");
-        return std::nullopt;
-    }
-    if (seedTable.front() != 0 ||
-        seedTable.back() != locationTable.size()) {
-        setError(error, "v1 seed table does not cover the location table");
-        return std::nullopt;
-    }
-    // The v1 format never checksummed the seed table, so structural
-    // validation is the only line of defense: a non-monotone entry
-    // would turn lookup() into an out-of-bounds span (same contract as
-    // the v2 parser).
-    for (std::size_t i = 0; i + 1 < seedTable.size(); ++i) {
-        if (seedTable[i] > seedTable[i + 1]) {
-            setError(error, "v1 seed table CSR is not monotone");
-            return std::nullopt;
-        }
-    }
-
-    SeedMapParams params;
-    params.seedLen = hdr.seedLen;
-    params.tableBits = hdr.tableBits;
-    params.filterThreshold = hdr.filterThreshold;
-    return SeedMap::fromTables(params, hdr.tableBits,
-                               std::move(seedTable),
-                               std::move(locationTable));
+    static const char zeros[kSeedMapSectionAlign] = {};
+    os.write(static_cast<const char *>(data),
+             static_cast<std::streamsize>(bytes));
+    os.write(zeros, static_cast<std::streamsize>(alignUp(bytes) - bytes));
 }
 
 } // namespace
 
 void
-saveSeedMap(std::ostream &os, const SeedMap &map)
-{
-    SeedMapImageHeader hdr;
-    hdr.seedLen = map.params().seedLen;
-    hdr.tableBits = map.tableBits();
-    hdr.filterThreshold = map.params().filterThreshold;
-    hdr.seedTableEntries = map.rawSeedTable().size();
-    hdr.locationEntries = map.rawLocationTable().size();
-    hdr.payloadChecksum = util::xxh64(
-        map.rawLocationTable().data(),
-        map.rawLocationTable().size() * sizeof(u32));
-
-    os.write(reinterpret_cast<const char *>(&hdr), sizeof(hdr));
-    os.write(reinterpret_cast<const char *>(map.rawSeedTable().data()),
-             static_cast<std::streamsize>(hdr.seedTableEntries *
-                                          sizeof(u32)));
-    os.write(
-        reinterpret_cast<const char *>(map.rawLocationTable().data()),
-        static_cast<std::streamsize>(hdr.locationEntries * sizeof(u32)));
-}
-
-void
-saveSeedMapV2(std::ostream &os, const SeedMap &map, u32 shards)
+saveSeedMapImage(std::ostream &os, const genomics::Reference &ref,
+                 const SeedMap &map,
+                 const baseline::MinimizerIndex &fallback, u32 shards)
 {
     const u32 tableBits = map.tableBits();
     const u64 tableEntries = u64{ 1 } << tableBits;
@@ -348,8 +287,9 @@ saveSeedMapV2(std::ostream &os, const SeedMap &map, u32 shards)
     // Lay out the directory first so every section offset is known
     // before anything is written.
     std::vector<SeedMapShardDirEntry> dir(shardCount);
-    u64 offset = alignUp(sizeof(SeedMapImageHeaderV2) +
-                         u64{ shardCount } * sizeof(SeedMapShardDirEntry));
+    u64 offset = alignUp(sizeof(SeedMapImageHeader) +
+                         u64{ shardCount } * sizeof(SeedMapShardDirEntry) +
+                         sizeof(MinimizerDirEntry));
     // Shard-local CSR tables are derived (rebased) copies; build them
     // once, checksum them, and reuse at write time.
     std::vector<std::vector<u32>> localCsr(shardCount);
@@ -376,79 +316,55 @@ saveSeedMapV2(std::ostream &os, const SeedMap &map, u32 shards)
         offset = alignUp(offset + ent.locationEntries * sizeof(u32));
     }
 
-    SeedMapImageHeaderV2 hdr;
+    const auto hashes = fallback.hashes();
+    const auto offsets = fallback.offsets();
+    const auto entries = fallback.entries();
+    MinimizerDirEntry fb;
+    fb.hashCount = hashes.size();
+    fb.entryCount = entries.size();
+    fb.hashesOffset = offset;
+    fb.hashesChecksum = util::xxh64(hashes.data(), hashes.size_bytes());
+    offset = alignUp(offset + hashes.size_bytes());
+    fb.offsetsOffset = offset;
+    fb.offsetsChecksum = util::xxh64(offsets.data(), offsets.size_bytes());
+    offset = alignUp(offset + offsets.size_bytes());
+    fb.entriesOffset = offset;
+    fb.entriesChecksum = util::xxh64(entries.data(), entries.size_bytes());
+    offset = alignUp(offset + entries.size_bytes());
+
+    SeedMapImageHeader hdr;
     hdr.seedLen = map.params().seedLen;
     hdr.tableBits = tableBits;
     hdr.filterThreshold = map.params().filterThreshold;
     hdr.shardCount = shardCount;
+    hdr.minimizerK = fallback.params().k;
+    hdr.minimizerW = fallback.params().w;
+    hdr.minimizerMaxOccurrences = fallback.params().maxOccurrences;
     hdr.fileBytes = offset;
-    hdr.directoryOffset = sizeof(SeedMapImageHeaderV2);
-    hdr.directoryChecksum = util::xxh64(
-        dir.data(), dir.size() * sizeof(SeedMapShardDirEntry));
+    hdr.directoryOffset = sizeof(SeedMapImageHeader);
+    hdr.referenceLength = ref.totalLength();
+    hdr.referenceFingerprint = ref.fingerprint();
+    // The directory is checksummed as open() reads it: the shard
+    // entries and the fallback entry as one contiguous run.
+    const u64 shardDirBytes = dir.size() * sizeof(SeedMapShardDirEntry);
+    std::vector<u8> dirBytes(shardDirBytes + sizeof(fb));
+    std::memcpy(dirBytes.data(), dir.data(), shardDirBytes);
+    std::memcpy(dirBytes.data() + shardDirBytes, &fb, sizeof(fb));
+    hdr.directoryChecksum = util::xxh64(dirBytes.data(), dirBytes.size());
     hdr.headerChecksum =
         util::xxh64(&hdr, sizeof(hdr) - sizeof(u64));
 
     os.write(reinterpret_cast<const char *>(&hdr), sizeof(hdr));
-    os.write(reinterpret_cast<const char *>(dir.data()),
-             static_cast<std::streamsize>(dir.size() *
-                                          sizeof(SeedMapShardDirEntry)));
-    writePadding(os, sizeof(hdr) + dir.size() * sizeof(SeedMapShardDirEntry));
+    writeSection(os, dirBytes.data(), dirBytes.size());
     for (u32 s = 0; s < shardCount; ++s) {
-        const u64 seedBytes = localCsr[s].size() * sizeof(u32);
-        os.write(reinterpret_cast<const char *>(localCsr[s].data()),
-                 static_cast<std::streamsize>(seedBytes));
-        writePadding(os, seedBytes);
-        const u64 lo = u64{ s } * hashPerShard;
-        const u64 locBytes = dir[s].locationEntries * sizeof(u32);
-        os.write(reinterpret_cast<const char *>(locations.data() +
-                                                seedTable[lo]),
-                 static_cast<std::streamsize>(locBytes));
-        writePadding(os, locBytes);
+        writeSection(os, localCsr[s].data(),
+                     localCsr[s].size() * sizeof(u32));
+        writeSection(os, locations.data() + seedTable[u64{ s } * hashPerShard],
+                     dir[s].locationEntries * sizeof(u32));
     }
-}
-
-std::optional<SeedMap>
-loadSeedMap(std::istream &is, std::string *error)
-{
-    // The first two u32s dispatch the format generation.
-    u32 magicVersion[2];
-    is.read(reinterpret_cast<char *>(magicVersion), sizeof(magicVersion));
-    if (!is || magicVersion[0] != SeedMapImageHeader::kMagic) {
-        setError(error, "not a SeedMap image (bad magic)");
-        return std::nullopt;
-    }
-
-    if (magicVersion[1] == SeedMapImageHeader::kVersion) {
-        SeedMapImageHeader hdr;
-        is.read(reinterpret_cast<char *>(&hdr) + sizeof(magicVersion),
-                sizeof(hdr) - sizeof(magicVersion));
-        if (!is) {
-            setError(error, "v1 image truncated mid-header");
-            return std::nullopt;
-        }
-        hdr.magic = magicVersion[0];
-        hdr.version = magicVersion[1];
-        return loadSeedMapV1Body(is, hdr, error);
-    }
-
-    if (magicVersion[1] == SeedMapImageHeaderV2::kVersion) {
-        // Copy path for v2: slurp the stream, validate, reassemble the
-        // global tables. openSeedMap/SeedMapImage is the zero-copy way.
-        std::vector<u8> buf(sizeof(magicVersion));
-        std::memcpy(buf.data(), magicVersion, sizeof(magicVersion));
-        char chunk[65536];
-        while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0)
-            buf.insert(buf.end(), chunk, chunk + is.gcount());
-        auto parsed = parseV2Image(buf.data(), buf.size(),
-                                   SeedMapOpenOptions{}, error);
-        if (!parsed)
-            return std::nullopt;
-        return materializeV2(*parsed);
-    }
-
-    setError(error, "unsupported image version " +
-                        std::to_string(magicVersion[1]));
-    return std::nullopt;
+    writeSection(os, hashes.data(), hashes.size_bytes());
+    writeSection(os, offsets.data(), offsets.size_bytes());
+    writeSection(os, entries.data(), entries.size_bytes());
 }
 
 std::optional<SeedMapImage>
@@ -458,70 +374,38 @@ SeedMapImage::open(const std::string &path,
     auto mapped = util::MappedFile::open(path, error);
     if (!mapped)
         return std::nullopt;
-
-    if (mapped->size() < 2 * sizeof(u32)) {
-        setError(error, "file too small to be a SeedMap image");
-        return std::nullopt;
+    // Validate in place against the mapping, once. The pass touches
+    // every byte the image will ever serve, so it runs under the SIGBUS
+    // guard: a file truncated between mmap and here (or shrunk by a
+    // botched index refresh) becomes a diagnostic reject instead of
+    // killing the process.
+    std::string bad;
+    ParsedImage parsed;
+    if (util::checkFault("mmap.validate")) {
+        bad = path + ": injected validation fault (mmap.validate)";
+    } else {
+        mapped->prefetch();
+        if (!util::SigbusGuard::run([&] {
+                bad = parseImage(mapped->data(), mapped->size(), options,
+                                 parsed);
+            }))
+            bad = path + " truncated while validating (SIGBUS on a "
+                         "mapped page); refusing image";
     }
-    u32 magicVersion[2];
-    std::memcpy(magicVersion, mapped->data(), sizeof(magicVersion));
-    if (magicVersion[0] != SeedMapImageHeader::kMagic) {
-        setError(error, "not a SeedMap image (bad magic)");
+    if (!bad.empty()) {
+        if (error != nullptr)
+            *error = "seedmap image: " + bad;
         return std::nullopt;
     }
 
     SeedMapImage image;
-    if (magicVersion[1] == SeedMapImageHeaderV2::kVersion) {
-        if (util::checkFault("mmap.validate")) {
-            setError(error, path + ": injected validation fault "
-                            "(mmap.validate)");
-            return std::nullopt;
-        }
-        // Validate in place against the mapping — once — whether the
-        // caller wants zero-copy serving or a forced owning copy. The
-        // pass touches every byte the image will ever serve, so it
-        // runs under the SIGBUS guard: a file truncated between mmap
-        // and here (or shrunk by a botched index refresh) becomes a
-        // diagnostic reject instead of killing the process.
-        mapped->prefetch();
-        std::optional<ParsedV2> parsed;
-        const bool survived = util::SigbusGuard::run([&] {
-            parsed = parseV2Image(mapped->data(), mapped->size(),
-                                  options, error);
-        });
-        if (!survived) {
-            setError(error, path + " truncated while validating "
-                            "(SIGBUS on a mapped page); refusing image");
-            return std::nullopt;
-        }
-        if (!parsed)
-            return std::nullopt;
-        if (options.forceCopy) {
-            image.owned_ =
-                std::make_unique<SeedMap>(materializeV2(*parsed));
-            image.params_ = image.owned_->params();
-            image.tableBits_ = image.owned_->tableBits();
-            return image;
-        }
-        image.file_ = std::move(*mapped);
-        image.shards_ = std::move(parsed->shards);
-        image.params_ = parsed->params;
-        image.tableBits_ = parsed->tableBits;
-        return image;
-    }
-
-    // v1 legacy path: stream-load into an owning map.
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        setError(error, "cannot reopen " + path);
-        return std::nullopt;
-    }
-    auto loaded = loadSeedMap(is, error);
-    if (!loaded)
-        return std::nullopt;
-    image.owned_ = std::make_unique<SeedMap>(std::move(*loaded));
-    image.params_ = image.owned_->params();
-    image.tableBits_ = image.owned_->tableBits();
+    image.file_ = std::make_shared<const util::MappedFile>(
+        std::move(*mapped));
+    image.shards_ = std::move(parsed.shards);
+    image.params_ = parsed.params;
+    image.fallback_ = std::make_shared<const baseline::MinimizerIndex>(
+        parsed.fallbackParams, parsed.fallbackHashes,
+        parsed.fallbackOffsets, parsed.fallbackEntries, image.file_);
     return image;
 }
 

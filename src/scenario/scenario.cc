@@ -242,8 +242,9 @@ runContamination(const ScenarioSpec &spec, const ScenarioOptions &options)
         pairs.push_back(std::move(pair));
     }
 
-    // The index is served the deployment way: a sharded v2 image on
-    // disk, mounted zero-copy through the multi-shard mmap view.
+    // The index is served the deployment way: a sharded image on
+    // disk, mounted zero-copy through the multi-shard mmap view, its
+    // fallback index included.
     genpair::SeedMap map = genpair::SeedMap::build(
         combined, genpair::SeedMapParams{}, options.threads);
     const std::string dir =
@@ -258,7 +259,10 @@ runContamination(const ScenarioSpec &spec, const ScenarioOptions &options)
                 "cannot write scratch image: " + imagePath;
             return result;
         }
-        genpair::saveSeedMapV2(os, map, spec.imageShards);
+        genpair::saveSeedMapImage(
+            os, combined, map,
+            baseline::MinimizerIndex(combined, baseline::MinimizerParams{}),
+            spec.imageShards);
         os.flush();
         if (!os) {
             result.skipped = true;
@@ -268,9 +272,10 @@ runContamination(const ScenarioSpec &spec, const ScenarioOptions &options)
             return result;
         }
     }
+    genpair::SeedMapOpenOptions openOptions;
+    openOptions.reference = &combined;
     std::string err;
-    auto image = genpair::SeedMapImage::open(
-        imagePath, genpair::SeedMapOpenOptions{}, &err);
+    auto image = genpair::SeedMapImage::open(imagePath, openOptions, &err);
     if (!image) {
         result.skipped = true;
         result.skipReason = "image rejected: " + err;
@@ -281,6 +286,7 @@ runContamination(const ScenarioSpec &spec, const ScenarioOptions &options)
 
     genpair::DriverConfig config;
     config.threads = options.threads;
+    config.fallbackIndex = image->fallbackIndex();
     genpair::ParallelMapper mapper(combined, image->view(), config);
     genpair::DriverResult res = mapper.mapAll(pairs);
     result.stats = res.stats;

@@ -80,7 +80,7 @@ struct ScenarioSpec
 
     double contaminantFrac = 0.0; ///< fraction of reads from species B
     u64 contaminantGenomeLen = 0; ///< species B genome bases
-    u32 imageShards = 1; ///< v2 image shards (contamination: > 1)
+    u32 imageShards = 1; ///< index image shards (contamination: > 1)
 
     u64 evalTolerance = 50; ///< mapping_eval position tolerance (bases)
 };

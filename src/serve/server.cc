@@ -61,12 +61,14 @@ ServeServer::AdmissionGate::wakeAll()
 // --- ServeServer -----------------------------------------------------
 
 std::shared_ptr<ServeServer::MountEpoch>
-ServeServer::buildEpoch(const genomics::Reference &ref,
-                        const genpair::SeedMapView &view) const
+ServeServer::buildEpoch(
+    const genomics::Reference &ref, const genpair::SeedMapView &view,
+    std::shared_ptr<const baseline::MinimizerIndex> fallback) const
 {
     auto epoch = std::make_shared<MountEpoch>();
     genpair::DriverConfig driver = config_.driver;
     driver.threads = config_.threads;
+    driver.fallbackIndex = std::move(fallback);
     epoch->mapper =
         std::make_unique<genpair::ParallelMapper>(ref, view, driver);
     epoch->spine = std::make_unique<genpair::StreamingMapper>(
@@ -86,7 +88,7 @@ ServeServer::ServeServer(std::vector<MountSpec> mounts,
         m.name = spec.name;
         m.ref = spec.ref;
         m.indexPath = spec.indexPath;
-        m.epoch = buildEpoch(*spec.ref, spec.view);
+        m.epoch = buildEpoch(*spec.ref, spec.view, spec.fallbackIndex);
         // The SAM header is a pure function of the mount's reference;
         // render it once so every HEADER request is a memcpy.
         std::ostringstream os;
@@ -277,18 +279,22 @@ ServeServer::refreshMount(const std::string &ref_name,
                     "' is not backed by an image file (built in "
                     "memory); nothing to refresh");
 
-    // Validate the candidate end to end — open, checksum every shard,
-    // structural checks, all SIGBUS-guarded — *before* anything is
-    // published. A corrupt or truncated candidate leaves the serving
-    // epoch untouched.
+    // Validate the candidate end to end — open, checksum every
+    // section, structural checks, the reference fingerprint, all
+    // SIGBUS-guarded — *before* anything is published. A corrupt,
+    // truncated or foreign candidate leaves the serving epoch
+    // untouched.
+    genpair::SeedMapOpenOptions options;
+    options.reference = mount->ref;
     std::string openError;
-    auto image = genpair::SeedMapImage::open(
-        mount->indexPath, genpair::SeedMapOpenOptions{}, &openError);
+    auto image =
+        genpair::SeedMapImage::open(mount->indexPath, options, &openError);
     if (!image)
         return fail("refresh of '" + mount->name + "' rejected: " +
                     openError);
 
-    auto epoch = buildEpoch(*mount->ref, image->view());
+    auto epoch =
+        buildEpoch(*mount->ref, image->view(), image->fallbackIndex());
     epoch->image = std::move(*image);
 
     {

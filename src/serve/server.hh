@@ -4,11 +4,12 @@
  *
  * The cold-start economics of the batch tools are wrong for service
  * traffic: every gpx_map run pays reference load + index open + pool
- * spawn before the first pair maps. The server pays them once — v2
- * SeedMap shards stay mounted behind a SeedMapView on kernel-shared
- * mmap pages, one persistent MapperEngine worker pool per mount stays
- * warm — and then serves any number of concurrent connections speaking
- * gpx-serve-proto v1 (protocol.hh, docs/serve_protocol.md).
+ * spawn before the first pair maps. The server pays them once — the
+ * image's SeedMap shards and fallback index stay mounted on
+ * kernel-shared mmap pages, one persistent MapperEngine worker pool
+ * per mount stays warm — and then serves any number of concurrent
+ * connections speaking gpx-serve-proto v1 (protocol.hh,
+ * docs/serve_protocol.md).
  *
  * Concurrency shape: one accept loop, one handler thread per
  * connection, and a bounded admission gate in front of the mapping
@@ -59,7 +60,12 @@ struct MountSpec
     /** View over the shards (mmap image or owning map outlives us). */
     genpair::SeedMapView view;
     /**
-     * Path of the v2 image backing @p view, when there is one. A
+     * The image's fallback index (SeedMapImage::fallbackIndex()); null
+     * = build it from @p ref, for mounts built in memory.
+     */
+    std::shared_ptr<const baseline::MinimizerIndex> fallbackIndex;
+    /**
+     * Path of the image backing @p view, when there is one. A
      * non-empty path makes the mount hot-swappable: REFRESH/SIGHUP
      * re-opens this path, validates it, and publishes a new epoch.
      * Mounts built in memory (no file) refuse refresh requests.
@@ -185,11 +191,12 @@ class ServeServer
     /**
      * Hot-swap @p ref_name's index (empty = the sole mount): re-open
      * the mount's indexPath, validate the image end to end (checksums,
-     * structure, SIGBUS-guarded), and only then atomically publish it
-     * as a new epoch. In-flight requests keep the epoch they started
-     * on; the old image unmaps when its last request drains. On any
-     * failure — no indexPath, unreadable/corrupt candidate — the old
-     * epoch keeps serving and this returns false with a diagnostic.
+     * structure, reference fingerprint, SIGBUS-guarded), and only then
+     * atomically publish it as a new epoch. In-flight requests keep the
+     * epoch they started on; the old image unmaps when its last request
+     * drains. On any failure — no indexPath, unreadable/corrupt
+     * candidate, an image of another reference — the old epoch keeps
+     * serving and this returns false with a diagnostic.
      * Thread-safe (REFRESH frames and SIGHUP may race; last publish
      * wins).
      */
@@ -266,10 +273,12 @@ class ServeServer
         u32 inFlight_ = 0;
     };
 
-    /** Build a warm epoch (pool + spine) over @p view. */
+    /** Build a warm epoch (pool + spine) over @p view and @p fallback. */
     std::shared_ptr<MountEpoch>
     buildEpoch(const genomics::Reference &ref,
-               const genpair::SeedMapView &view) const;
+               const genpair::SeedMapView &view,
+               std::shared_ptr<const baseline::MinimizerIndex> fallback)
+        const;
 
     void acceptLoop();
     void handleConnection(util::Socket sock);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Read-only memory-mapped file: the zero-copy substrate of the SeedMap
- * v2 image path. A MappedFile's pages are file-backed and kernel-shared,
+ * Read-only memory-mapped file: the zero-copy substrate of the index
+ * image path. A MappedFile's pages are file-backed and kernel-shared,
  * so every worker process/thread serving the same index image shares one
  * physical copy and opening costs no allocation or stream copy.
  */

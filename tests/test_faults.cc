@@ -39,6 +39,7 @@
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "simdata/genome_generator.hh"
 #include "util/channel.hh"
 #include "util/fault.hh"
 #include "util/md5.hh"
@@ -370,6 +371,16 @@ class GoldenFaultTest : public FaultTest
         map_ = std::make_unique<genpair::SeedMap>(ref_, params);
     }
 
+    /** Write the corpus index image with @p shards shards. */
+    void
+    writeImage(std::ostream &os, u32 shards) const
+    {
+        genpair::saveSeedMapImage(
+            os, ref_, *map_,
+            baseline::MinimizerIndex(ref_, baseline::MinimizerParams{}),
+            shards);
+    }
+
     /** One spine run over the whole corpus into a checked writer. */
     genpair::StreamRunStatus
     runSpine(genomics::SamWriter &sam, genomics::IngestError *error,
@@ -439,13 +450,13 @@ TEST_F(GoldenFaultTest, SamWriteFaultSurfacesAsWriteError)
 
 TEST_F(GoldenFaultTest, TruncatedImageRejectedNotCrash)
 {
-    // A v2 image truncated on disk (botched copy, partial download)
+    // An image truncated on disk (botched copy, partial download)
     // must come back as a diagnostic reject from open(), never a
     // SIGBUS or a silently wrong mapping.
     std::string path = ::testing::TempDir() + "gpx_trunc_test.gpx";
     {
         std::ofstream os(path, std::ios::binary);
-        genpair::saveSeedMapV2(os, *map_, /*shards=*/2);
+        writeImage(os, 2);
     }
     std::string full = slurp(path);
     ASSERT_GT(full.size(), 1024u);
@@ -470,7 +481,7 @@ TEST_F(GoldenFaultTest, MmapFaultPointsRejectCleanly)
     std::string path = ::testing::TempDir() + "gpx_mmapfault_test.gpx";
     {
         std::ofstream os(path, std::ios::binary);
-        genpair::saveSeedMapV2(os, *map_, /*shards=*/1);
+        writeImage(os, 1);
     }
     std::string error;
     arm("mmap.open:fail@once");
@@ -536,12 +547,13 @@ class ServeFaultTest : public GoldenFaultTest
             imagePath_ = ::testing::TempDir() + "gpx_faults_test.gpx";
             {
                 std::ofstream os(imagePath_, std::ios::binary);
-                genpair::saveSeedMapV2(os, *map_, /*shards=*/2);
+                writeImage(os, 2);
             }
             std::string error;
             image_ = genpair::SeedMapImage::open(imagePath_, {}, &error);
             ASSERT_TRUE(image_.has_value()) << error;
             spec.view = image_->view();
+            spec.fallbackIndex = image_->fallbackIndex();
             spec.indexPath = imagePath_;
         } else {
             spec.view = *map_;
@@ -733,6 +745,50 @@ TEST_F(ServeFaultTest, RefreshRejectedForInlineMount)
                              fastqSlice(reads2_, 0, 4), false, &reply);
     EXPECT_TRUE(status.ok) << status.describe();
     EXPECT_EQ(server_->counters().swapsRejected, 1u);
+}
+
+TEST_F(ServeFaultTest, RefreshToAnotherReferencesImageRejected)
+{
+    // An image is bound to the FASTA it was built from. Publishing an
+    // image of another genome under the mount's path must not swap in
+    // placements against the wrong sequence: REFRESH is rejected with a
+    // diagnostic, counted, and the old epoch keeps serving the golden
+    // digest.
+    startServer({}, /*file_backed=*/true);
+    auto client = connect();
+    ASSERT_EQ(mapCorpus(client, 64), kGoldenSamMd5);
+
+    simdata::GenomeParams gp;
+    gp.length = ref_.totalLength();
+    gp.chromosomes = ref_.numChromosomes();
+    gp.seed = 7; // the corpus itself is seed 4242
+    const genomics::Reference other = simdata::generateGenome(gp);
+    {
+        const std::string tmp = imagePath_ + ".tmp";
+        std::ofstream os(tmp, std::ios::binary);
+        genpair::saveSeedMapImage(
+            os, other, genpair::SeedMap(other, map_->params()),
+            baseline::MinimizerIndex(other, baseline::MinimizerParams{}), 2);
+        os.close();
+        ASSERT_EQ(std::rename(tmp.c_str(), imagePath_.c_str()), 0);
+    }
+
+    std::string error;
+    EXPECT_FALSE(server_->refreshMount("golden", &error));
+    EXPECT_NE(error.find("different reference"), std::string::npos)
+        << error;
+    auto status = client.refreshMount("golden");
+    ASSERT_FALSE(status.ok);
+    ASSERT_TRUE(status.errorFrame.has_value()) << status.describe();
+    EXPECT_EQ(status.errorFrame->code, serve::kErrRefreshFailed);
+    EXPECT_NE(status.errorFrame->message.find("different reference"),
+              std::string::npos)
+        << status.errorFrame->message;
+
+    EXPECT_EQ(mapCorpus(client, 64), kGoldenSamMd5);
+    const serve::ServeCounters counters = server_->counters();
+    EXPECT_EQ(counters.swapsRejected, 2u);
+    EXPECT_EQ(counters.indexSwaps, 0u);
 }
 
 TEST_F(ServeFaultTest, HotSwapChaosUnderConcurrentClients)

@@ -2,9 +2,9 @@
  * @file
  * Golden end-to-end corpus: a small checked-in simulated reference and
  * read set (tests/data/golden/) with a pinned SAM md5. Serial, pooled,
- * streaming and mmap-backed (v2 image) drivers must all reproduce the
- * digest bit-identically — the cross-driver determinism contract that
- * PR 2 established and the v2 zero-copy serving path must preserve.
+ * streaming and image-backed drivers (SeedMap and fallback index both
+ * served from the mapping) must all reproduce the digest
+ * bit-identically, under every SIMD backend the host runs.
  *
  * If an intentional mapping-behavior change moves the digest, every
  * driver must move to the SAME new digest; update kGoldenSamMd5 and
@@ -26,6 +26,7 @@
 #include "hwsim/trace_adapter.hh"
 #include "util/gzip_stream.hh"
 #include "util/md5.hh"
+#include "util/simd.hh"
 
 namespace {
 
@@ -186,33 +187,86 @@ TEST_F(GoldenCorpusTest, GzipIngestReproducesPinnedDigest)
     EXPECT_EQ(digest, kGoldenSamMd5);
 }
 
-TEST_F(GoldenCorpusTest, MmapBackedDriverReproducesPinnedDigest)
+TEST_F(GoldenCorpusTest, ImageBackedDriversReproducePinnedDigest)
 {
-    // Round the index through a sharded v2 image and serve the mapping
-    // from the mmap view: still the same bits out.
-    std::string imagePath = ::testing::TempDir() + "golden_v2.gpx";
+    // Round both indexes through a sharded image and map from the
+    // mapping alone — SeedMap view and fallback index — under every
+    // driver and every SIMD backend the host runs: still the same bits.
+    std::string imagePath = ::testing::TempDir() + "golden.gpx";
     {
         std::ofstream out(imagePath, std::ios::binary | std::ios::trunc);
-        genpair::saveSeedMapV2(out, *map_, 4);
+        genpair::saveSeedMapImage(
+            out, ref_, *map_,
+            baseline::MinimizerIndex(ref_, config_.fallback.minimizers), 4);
         ASSERT_TRUE(out.good());
     }
+    genpair::SeedMapOpenOptions options;
+    options.reference = &ref_;
     std::string error;
-    auto image = genpair::SeedMapImage::open(imagePath, {}, &error);
+    auto image = genpair::SeedMapImage::open(imagePath, options, &error);
     ASSERT_TRUE(image.has_value()) << error;
-    ASSERT_TRUE(image->mmapBacked());
     ASSERT_EQ(image->shardCount(), 4u);
 
-    std::string dir = goldenDir();
-    std::string digest = samDigest([&](genomics::SamWriter &sam) {
-        std::ifstream r1(dir + "/r1.fq"), r2(dir + "/r2.fq");
-        ASSERT_TRUE(r1 && r2);
-        genpair::DriverConfig config = config_;
-        config.threads = 2;
-        genpair::StreamingMapper mapper(ref_, image->view(), config, 128);
-        auto result = mapper.run(r1, r2, sam);
-        EXPECT_EQ(result.pairs, pairs_.size());
-    });
-    EXPECT_EQ(digest, kGoldenSamMd5);
+    // The served fallback index equals the built one, hash for hash.
+    const baseline::MinimizerIndex built(ref_, config_.fallback.minimizers);
+    const auto &served = *image->fallbackIndex();
+    ASSERT_EQ(served.hashes().size(), built.hashes().size());
+    for (u64 h : built.hashes()) {
+        auto want = built.lookup(h);
+        auto got = served.lookup(h);
+        ASSERT_EQ(want.size(), got.size()) << "hash " << h;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(want[i].pos, got[i].pos);
+            EXPECT_EQ(want[i].reverse, got[i].reverse);
+        }
+    }
+
+    genpair::DriverConfig config = config_;
+    config.fallbackIndex = image->fallbackIndex();
+    const std::string dir = goldenDir();
+    const util::SimdBackend prev = util::activeSimdBackend();
+    for (util::SimdBackend want :
+         { util::SimdBackend::Scalar, util::SimdBackend::Avx2,
+           util::SimdBackend::Avx512 }) {
+        if (util::forceSimdBackend(want) != want)
+            continue; // the host cannot run it
+        SCOPED_TRACE(std::string("backend=") + util::simdBackendName(want));
+
+        EXPECT_EQ(samDigest([&](genomics::SamWriter &sam) {
+                      baseline::Mm2Lite fallback(ref_, config.fallback,
+                                                 config.fallbackIndex);
+                      genpair::GenPairPipeline pipeline(
+                          ref_, image->view(), config.pipeline, &fallback);
+                      for (const auto &pair : pairs_)
+                          sam.writePair(pair, pipeline.mapPair(pair));
+                  }),
+                  kGoldenSamMd5)
+            << "serial";
+        EXPECT_EQ(samDigest([&](genomics::SamWriter &sam) {
+                      genpair::DriverConfig pool = config;
+                      pool.threads = 3;
+                      genpair::ParallelMapper mapper(ref_, image->view(),
+                                                     pool);
+                      auto result = mapper.mapAll(pairs_);
+                      for (std::size_t i = 0; i < pairs_.size(); ++i)
+                          sam.writePair(pairs_[i], result.mappings[i]);
+                  }),
+                  kGoldenSamMd5)
+            << "pool";
+        EXPECT_EQ(samDigest([&](genomics::SamWriter &sam) {
+                      std::ifstream r1(dir + "/r1.fq"), r2(dir + "/r2.fq");
+                      ASSERT_TRUE(r1 && r2);
+                      genpair::DriverConfig streaming = config;
+                      streaming.threads = 2;
+                      genpair::StreamingMapper mapper(ref_, image->view(),
+                                                      streaming, 128);
+                      auto result = mapper.run(r1, r2, sam);
+                      EXPECT_EQ(result.pairs, pairs_.size());
+                  }),
+                  kGoldenSamMd5)
+            << "streaming";
+    }
+    util::forceSimdBackend(prev);
 }
 
 TEST_F(GoldenCorpusTest, TraceEnabledRunReproducesPinnedDigest)
@@ -245,30 +299,6 @@ TEST_F(GoldenCorpusTest, TraceEnabledRunReproducesPinnedDigest)
     std::string error;
     ASSERT_TRUE(hwsim::loadRecordedRun(is, &run, &error)) << error;
     EXPECT_EQ(run.stats.pairsTotal, pairs_.size());
-}
-
-TEST_F(GoldenCorpusTest, LegacyV1CopyPathReproducesPinnedDigest)
-{
-    // The v1 stream-load path must keep producing the same mapping as
-    // every other backend for as long as v1 images exist in the wild.
-    std::string imagePath = ::testing::TempDir() + "golden_v1.gpx";
-    {
-        std::ofstream out(imagePath, std::ios::binary | std::ios::trunc);
-        genpair::saveSeedMap(out, *map_);
-        ASSERT_TRUE(out.good());
-    }
-    std::string error;
-    auto image = genpair::SeedMapImage::open(imagePath, {}, &error);
-    ASSERT_TRUE(image.has_value()) << error;
-    ASSERT_FALSE(image->mmapBacked());
-
-    std::string digest = samDigest([&](genomics::SamWriter &sam) {
-        genpair::ParallelMapper mapper(ref_, image->view(), config_);
-        auto result = mapper.mapAll(pairs_);
-        for (std::size_t i = 0; i < pairs_.size(); ++i)
-            sam.writePair(pairs_[i], result.mappings[i]);
-    });
-    EXPECT_EQ(digest, kGoldenSamMd5);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the adoption-surface I/O: SAM records, VCF round-trips and
- * SeedMap binary serialization.
+ * Tests for the adoption-surface I/O: SAM records and VCF round-trips.
+ * The index image has its own wall (test_seedmap_fuzz.cc).
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 
 #include "eval/vcf.hh"
 #include "genomics/sam.hh"
-#include "genpair/seedmap_io.hh"
 #include "simdata/genome_generator.hh"
 #include "util/rng.hh"
 
@@ -171,73 +170,6 @@ TEST(Vcf, HeaderWellFormed)
     EXPECT_NE(out.find("##contig=<ID=chr1,length=3000>"),
               std::string::npos);
     EXPECT_NE(out.find("#CHROM\tPOS"), std::string::npos);
-}
-
-class SeedMapIoTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        simdata::GenomeParams gp;
-        gp.length = 60000;
-        gp.chromosomes = 1;
-        gp.seed = 31;
-        ref_ = simdata::generateGenome(gp);
-        genpair::SeedMapParams sp;
-        sp.tableBits = 17;
-        map_ = std::make_unique<genpair::SeedMap>(ref_, sp);
-    }
-
-    Reference ref_;
-    std::unique_ptr<genpair::SeedMap> map_;
-};
-
-TEST_F(SeedMapIoTest, SaveLoadRoundTrip)
-{
-    std::stringstream ss;
-    genpair::saveSeedMap(ss, *map_);
-    auto loaded = genpair::loadSeedMap(ss);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->tableBits(), map_->tableBits());
-    EXPECT_EQ(loaded->params().seedLen, map_->params().seedLen);
-    EXPECT_EQ(loaded->rawLocationTable(), map_->rawLocationTable());
-
-    // Queries against the loaded index behave identically.
-    const DnaSequence &chrom = ref_.chromosome(0);
-    for (u64 p = 0; p + 50 <= chrom.size(); p += 769) {
-        u32 h = map_->hashSeed(chrom.sub(p, 50));
-        auto a = map_->lookup(h);
-        auto b = loaded->lookup(h);
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i)
-            EXPECT_EQ(a[i], b[i]);
-    }
-}
-
-TEST_F(SeedMapIoTest, CorruptPayloadRejected)
-{
-    std::stringstream ss;
-    genpair::saveSeedMap(ss, *map_);
-    std::string image = ss.str();
-    image[image.size() - 3] ^= 0x5A; // flip payload bits
-    std::stringstream bad(image);
-    EXPECT_FALSE(genpair::loadSeedMap(bad).has_value());
-}
-
-TEST_F(SeedMapIoTest, TruncatedImageRejected)
-{
-    std::stringstream ss;
-    genpair::saveSeedMap(ss, *map_);
-    std::string image = ss.str();
-    std::stringstream bad(image.substr(0, image.size() / 2));
-    EXPECT_FALSE(genpair::loadSeedMap(bad).has_value());
-}
-
-TEST_F(SeedMapIoTest, WrongMagicRejected)
-{
-    std::stringstream bad("not a seedmap image at all");
-    EXPECT_FALSE(genpair::loadSeedMap(bad).has_value());
 }
 
 } // namespace

@@ -1,10 +1,11 @@
 /**
  * @file
- * gpx_index — offline SeedMap construction (paper §4.2). Reads a
+ * gpx_index — offline index construction (paper §4.2). Reads a
  * reference FASTA, builds the Seed Table + Location Table with the
- * index filtering threshold, reports the occupancy statistics the
- * hardware sizing depends on (Obs. 2), and persists the binary image
- * gpx_map loads.
+ * index filtering threshold and the MM2-lite fallback minimizer index,
+ * reports the occupancy statistics the hardware sizing depends on
+ * (Obs. 2), and persists both in the one image gpx_map and gpx_serve
+ * mount.
  */
 
 #include <algorithm>
@@ -32,11 +33,9 @@ const char kUsage[] =
     "                       0 disables the filter              [500]\n"
     "  --threads N          build worker threads (0 = hardware;\n"
     "                       any count gives identical tables)  [0]\n"
-    "  --shards N           hash-range shards in the v2 image\n"
+    "  --shards N           hash-range shards in the image\n"
     "                       (rounded up to a power of two;\n"
     "                       0 = match the build threads)       [0]\n"
-    "  --format v1|v2       image format; v2 is 64-byte\n"
-    "                       aligned, sharded and mmap-served   [v2]\n"
     "  --version            print the gpx version and exit\n";
 
 } // namespace
@@ -47,8 +46,7 @@ main(int argc, char **argv)
     using namespace gpx;
     tools::Cli cli(argc, argv,
                    { "--ref", "--out", "--seed-len", "--table-bits",
-                     "--filter-threshold", "--threads", "--shards",
-                     "--format" },
+                     "--filter-threshold", "--threads", "--shards" },
                    {}, kUsage);
 
     const std::string refPath = cli.required("--ref");
@@ -73,9 +71,6 @@ main(int argc, char **argv)
     u32 threads = static_cast<u32>(cli.num("--threads", 0));
     if (threads == 0)
         threads = std::max(1u, std::thread::hardware_concurrency());
-    const std::string format = cli.str("--format", "v2");
-    if (format != "v1" && format != "v2")
-        gpx_fatal("--format must be v1 or v2, got ", format);
 
     util::Stopwatch watch;
     genpair::SeedMap map = genpair::SeedMap::build(ref, params, threads);
@@ -96,20 +91,25 @@ main(int argc, char **argv)
     std::printf("  locations/seed (query-weighted, Obs. 2) %.2f\n",
                 stats.queryWeightedLocations);
 
+    watch.reset();
+    const baseline::MinimizerIndex fallback(ref, baseline::MinimizerParams{});
+    std::printf("built fallback minimizer index in %.2f s "
+                "(k=%u, w=%u, %llu entries)\n",
+                watch.seconds(), fallback.params().k, fallback.params().w,
+                static_cast<unsigned long long>(fallback.numEntries()));
+
     std::ofstream out(outPath, std::ios::binary);
     if (!out)
         gpx_fatal("cannot open output: ", outPath);
-    if (format == "v1") {
-        genpair::saveSeedMap(out, map);
-    } else {
-        u32 shards = static_cast<u32>(cli.num("--shards", 0));
-        if (shards == 0)
-            shards = std::bit_ceil(threads);
-        genpair::saveSeedMapV2(out, map, shards);
-    }
+    u32 shards = static_cast<u32>(cli.num("--shards", 0));
+    if (shards == 0)
+        shards = std::bit_ceil(threads);
+    genpair::saveSeedMapImage(out, ref, map, fallback, shards);
     out.flush();
     if (!out)
         gpx_fatal("write failed: ", outPath);
-    std::printf("wrote %s (%s image)\n", outPath.c_str(), format.c_str());
+    std::printf("wrote %s (image v%u, %llu bytes)\n", outPath.c_str(),
+                genpair::SeedMapImageHeader::kVersion,
+                static_cast<unsigned long long>(out.tellp()));
     return 0;
 }

@@ -2,8 +2,9 @@
  * @file
  * gpx_map — end-to-end paired-end read mapping with the GenPair
  * pipeline and MM2-lite DP fallback (the paper's "GenPair + MM2"
- * software configuration, §6), producing SAM. Loads a prebuilt SeedMap
- * image when given, otherwise builds one in memory.
+ * software configuration, §6), producing SAM. Mounts a prebuilt index
+ * image (SeedMap + fallback minimizer index) when given, otherwise
+ * builds both in memory.
  *
  * The residual-routing summary it prints after mapping is the Fig. 10
  * view of the run: how many pairs the fast path handled and where the
@@ -41,12 +42,9 @@ const char kUsage[] =
     "  --long FILE          long-read FASTQ (SS4.7 pseudo-pair mode;\n"
     "                       replaces --r1/--r2)\n"
     "  --out FILE           output SAM ('-' for stdout)\n"
-    "  --index FILE         prebuilt SeedMap image (from gpx_index);\n"
-    "                       v2 images are served zero-copy via mmap,\n"
-    "                       v1 images load through the legacy copy\n"
-    "                       path; omitted = build in memory\n"
-    "  --no-mmap            force the owning copy path even for v2\n"
-    "                       images (debugging / comparison)\n"
+    "  --index FILE         prebuilt index image (from gpx_index over\n"
+    "                       the same --ref), served zero-copy via\n"
+    "                       mmap; omitted = build in memory\n"
     "  --threads N          worker threads (0 = hardware)     [0]\n"
     "  --io-threads N       FASTQ parser threads of the I/O\n"
     "                       spine (paired mode)               [1]\n"
@@ -74,7 +72,7 @@ main(int argc, char **argv)
                      "--index", "--threads", "--io-threads", "--delta",
                      "--filter-threshold", "--chunk", "--stats-json",
                      "--trace" },
-                   { "--baseline", "--no-mmap" }, kUsage);
+                   { "--baseline" }, kUsage);
 
     // Reference.
     const std::string refPath = cli.required("--ref");
@@ -105,15 +103,16 @@ main(int argc, char **argv)
             gpx_fatal("cannot open --r2 FASTQ");
     }
 
-    // SeedMap: open the offline image (zero-copy mmap for v2 images,
-    // legacy stream copy for v1) or build inline. Either way the query
+    // Index: mount the offline image (SeedMap shards and fallback
+    // index, zero-copy) or build both inline. Either way the query
     // path below consumes only the non-owning view.
     std::optional<genpair::SeedMapImage> image;
     std::unique_ptr<genpair::SeedMap> built;
     genpair::SeedMapView map;
+    std::shared_ptr<const baseline::MinimizerIndex> fallbackIndex;
     if (cli.has("--index")) {
         genpair::SeedMapOpenOptions opts;
-        opts.forceCopy = cli.has("--no-mmap");
+        opts.reference = &ref;
         std::string err;
         util::Stopwatch watch;
         image = genpair::SeedMapImage::open(cli.str("--index"), opts,
@@ -121,12 +120,13 @@ main(int argc, char **argv)
         if (!image)
             gpx_fatal("index image rejected: ", err);
         map = image->view();
-        std::printf("opened index in %.3f s (%s, %u shard%s)\n",
-                    watch.seconds(),
-                    image->mmapBacked() ? "mmap, zero-copy"
-                                        : "legacy copy path",
-                    image->shardCount(),
-                    image->shardCount() == 1 ? "" : "s");
+        fallbackIndex = image->fallbackIndex();
+        std::printf("opened index in %.3f s (mmap, zero-copy, %u shard%s; "
+                    "fallback index from the image, %llu entries)\n",
+                    watch.seconds(), image->shardCount(),
+                    image->shardCount() == 1 ? "" : "s",
+                    static_cast<unsigned long long>(
+                        fallbackIndex->numEntries()));
     } else {
         genpair::SeedMapParams sp;
         sp.filterThreshold =
@@ -135,7 +135,13 @@ main(int argc, char **argv)
         built = std::make_unique<genpair::SeedMap>(genpair::SeedMap::build(
             ref, sp, static_cast<u32>(cli.num("--threads", 0))));
         map = *built;
-        std::printf("built SeedMap inline in %.2f s\n", watch.seconds());
+        const double seedMapSeconds = watch.seconds();
+        watch.reset();
+        fallbackIndex = std::make_shared<const baseline::MinimizerIndex>(
+            ref, baseline::MinimizerParams{});
+        std::printf("built SeedMap inline in %.2f s, fallback index in "
+                    "%.2f s\n",
+                    seedMapSeconds, watch.seconds());
     }
 
     // SAM output (the stream must exist before mapping starts).
@@ -165,7 +171,7 @@ main(int argc, char **argv)
         lrParams.delta = static_cast<u32>(cli.num("--delta", 500));
         genpair::LongReadDriver driver(
             ref, map, lrParams, baseline::Mm2LiteParams{},
-            static_cast<u32>(cli.num("--threads", 0)));
+            static_cast<u32>(cli.num("--threads", 0)), fallbackIndex);
         // Long reads are ~60x a short pair; keep the resident chunk
         // small unless the user asked otherwise.
         const u64 chunkReads = static_cast<u64>(
@@ -228,6 +234,7 @@ main(int argc, char **argv)
     config.threads = static_cast<u32>(cli.num("--threads", 0));
     config.pipeline.delta = static_cast<u32>(cli.num("--delta", 500));
     config.useGenPair = !cli.has("--baseline");
+    config.fallbackIndex = fallbackIndex;
 
     // Stage-event trace (hwsim co-simulation hand-off).
     std::ofstream traceFile;

@@ -1,7 +1,7 @@
 /**
  * @file
- * gpx_serve — the resident mapping daemon: mount one or more SeedMap
- * v2 images once (zero-copy mmap, kernel-shared pages), keep the
+ * gpx_serve — the resident mapping daemon: mount one or more index
+ * images once (zero-copy mmap, kernel-shared pages), keep the
  * persistent worker pools warm, and serve concurrent mapping requests
  * over gpx-serve-proto v1 on a Unix or TCP socket until told to drain
  * (SIGTERM/SIGINT or a client SHUTDOWN frame).
@@ -36,8 +36,8 @@ const char kUsage[] =
     "--port N\n"
     "\n"
     "  --ref FILE           reference FASTA (single-mount shorthand)\n"
-    "  --index FILE         SeedMap image from gpx_index; omitted =\n"
-    "                       build in memory at start-up\n"
+    "  --index FILE         index image from gpx_index over the same\n"
+    "                       FASTA; omitted = build in memory\n"
     "  --mount SPEC         REF.fa:INDEX.gpx[:NAME] — mount one\n"
     "                       reference/index pair under NAME\n"
     "                       (default: index file stem); repeatable\n"
@@ -190,20 +190,21 @@ main(int argc, char **argv)
         spec.name = files.name;
         spec.ref = &loaded[i].ref;
         if (!files.indexPath.empty()) {
+            genpair::SeedMapOpenOptions opts;
+            opts.reference = &loaded[i].ref;
             std::string err;
             loaded[i].image = genpair::SeedMapImage::open(
-                files.indexPath, {}, &err);
+                files.indexPath, opts, &err);
             if (!loaded[i].image)
                 gpx_fatal("index image rejected: ", err);
             spec.view = loaded[i].image->view();
+            spec.fallbackIndex = loaded[i].image->fallbackIndex();
             spec.indexPath = files.indexPath; // hot-swappable
             std::fprintf(stderr,
-                         "mounted %s: %s + %s (%s, %u shard%s)\n",
+                         "mounted %s: %s + %s (mmap, zero-copy, %u "
+                         "shard%s; fallback index from the image)\n",
                          files.name.c_str(), files.refPath.c_str(),
                          files.indexPath.c_str(),
-                         loaded[i].image->mmapBacked()
-                             ? "mmap, zero-copy"
-                             : "legacy copy path",
                          loaded[i].image->shardCount(),
                          loaded[i].image->shardCount() == 1 ? "" : "s");
         } else {
@@ -215,7 +216,8 @@ main(int argc, char **argv)
                     loaded[i].ref, sp,
                     static_cast<u32>(cli.num("--threads", 0))));
             spec.view = *loaded[i].built;
-            std::fprintf(stderr, "mounted %s: %s (index built inline)\n",
+            std::fprintf(stderr, "mounted %s: %s (SeedMap and fallback "
+                                 "index built inline)\n",
                          files.name.c_str(), files.refPath.c_str());
         }
         specs.push_back(spec);
