@@ -1,16 +1,16 @@
 /**
  * @file
  * micro_driver_scaling — host driver throughput across threads x chunk
- * size (pooled vs pre-pool), plus end-to-end ingest-included runs of
- * the async I/O spine (format v2).
+ * size, plus end-to-end ingest-included runs of the async I/O spine
+ * (format v3).
  *
  * Two measurements:
  *
- *  1. `grid` — the seed ParallelMapper respawned every worker thread
- *     and rebuilt each worker's Mm2Lite + GenPairPipeline engines on
- *     every mapAll() call; this replays that behavior (`legacy`) next
- *     to the persistent worker pool (`pooled`) over a threads x
- *     chunk-size grid, mapping time only.
+ *  1. `grid` — a chunked streaming replay through one persistent
+ *     ParallelMapper pool over a threads x chunk-size grid, mapping
+ *     time only. Small chunks show what per-chunk dispatch costs; the
+ *     largest reaches the engine's guided grain (blocks above the
+ *     64-pair minimum). Informational, not gated.
  *
  *  2. `ingest` — whole StreamingMapper runs, FASTQ text in and SAM
  *     text out, comparing the one-parser spine (`--io-threads 1`, the
@@ -48,54 +48,12 @@ namespace {
 
 using namespace gpx;
 
-/**
- * The seed driver's mapAll, verbatim in behavior: spawn threads,
- * construct both engines inside each worker, contiguous partition —
- * all charged to the chunk being mapped.
- */
-double
-legacyMapChunk(const genomics::Reference &ref,
-               const genpair::SeedMap &map,
-               const genpair::DriverConfig &config, u32 threads,
-               std::shared_ptr<const baseline::MinimizerIndex> index,
-               const std::vector<genomics::ReadPair> &pairs,
-               std::vector<genomics::PairMapping> &out)
-{
-    util::Stopwatch watch;
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (u32 t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t]() {
-            baseline::Mm2Lite fallback(ref, config.fallback, index);
-            genpair::GenPairPipeline pipeline(ref, map, config.pipeline,
-                                              &fallback);
-            u64 chunk = (pairs.size() + threads - 1) / threads;
-            u64 begin = t * chunk;
-            u64 end = std::min<u64>(pairs.size(), begin + chunk);
-            for (u64 i = begin; i < end; ++i)
-                out[i] = pipeline.mapPair(pairs[i]);
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-    return watch.seconds();
-}
-
 struct GridPoint
 {
     u32 threads;
     u64 chunkPairs;
     u64 chunks;
-    double legacyPairsPerSec;
-    double pooledPairsPerSec;
-
-    double
-    speedup() const
-    {
-        return legacyPairsPerSec > 0
-                   ? pooledPairsPerSec / legacyPairsPerSec
-                   : 0.0;
-    }
+    double pairsPerSec;
 };
 
 /** One ingest-included end-to-end point: spine vs single reader. */
@@ -149,8 +107,8 @@ main(int argc, char **argv)
     const u32 hostThreads =
         std::max(1u, std::thread::hardware_concurrency());
 
-    banner("Host driver scaling: persistent pool vs per-chunk respawn",
-           "ROADMAP host-throughput north star (driver refactor PR)");
+    banner("Host driver scaling: threads x chunk size, spine vs one reader",
+           "ROADMAP host-throughput north star");
 
     // Smaller than the fig benches: the grid multiplies runtime.
     simdata::Dataset dataset = simdata::buildDataset(
@@ -159,31 +117,27 @@ main(int argc, char **argv)
                              genpair::SeedMapParams{});
     const auto &pairs = dataset.pairs;
 
-    // Small chunks are where per-chunk respawn hurts most (the spawn +
-    // engine-construction cost is amortized over fewer pairs), so the
-    // grid leans small; 256 anchors the amortized end where the two
-    // drivers are expected to converge. The thread grid reaches 64 on
-    // hosts that can genuinely run it; elsewhere it caps so the
-    // recorded numbers never describe oversubscription artifacts.
+    // Small chunks show the per-chunk dispatch cost; 4096 pairs is big
+    // enough for the guided grain to claim blocks above the 64-pair
+    // minimum. The thread grid reaches 64 on hosts that can genuinely
+    // run it; elsewhere it caps so the recorded numbers never describe
+    // oversubscription artifacts.
     std::vector<u32> threadGrid;
     for (u32 t : { 1u, 2u, 4u, 8u, 16u, 32u, 64u })
         if (t <= maxThreads)
             threadGrid.push_back(t);
-    const std::vector<u64> chunkGrid{ 4, 64, 256 };
+    const std::vector<u64> chunkGrid{ 4, 64, 256, 4096 };
     std::vector<GridPoint> grid;
 
     for (u32 threads : threadGrid) {
         genpair::DriverConfig config;
         config.threads = threads;
-        auto sharedIndex =
-            std::make_shared<const baseline::MinimizerIndex>(
-                *dataset.reference, config.fallback.minimizers);
         // One pool per thread count, reused across every chunk size —
         // exactly how StreamingMapper drives it.
         genpair::ParallelMapper pooled(*dataset.reference, seedmap,
                                        config);
-        // Warm caches and first-touch pages once per thread count so
-        // neither side is charged for them.
+        // Warm caches and first-touch pages once per thread count so no
+        // grid point is charged for them.
         pooled.mapAll(pairs);
         for (u64 chunkPairs : chunkGrid) {
             GridPoint pt;
@@ -191,10 +145,8 @@ main(int argc, char **argv)
             pt.chunkPairs = chunkPairs;
             pt.chunks = (pairs.size() + chunkPairs - 1) / chunkPairs;
 
-            // Chunked streaming replay, legacy driver: per-chunk thread
-            // spawn + engine construction, like the seed mapAll.
-            std::vector<genomics::PairMapping> legacyOut(pairs.size());
-            auto legacyRun = [&]() {
+            // Chunked streaming replay through the persistent pool.
+            auto replay = [&]() {
                 double secs = 0;
                 for (u64 begin = 0; begin < pairs.size();
                      begin += chunkPairs) {
@@ -204,64 +156,17 @@ main(int argc, char **argv)
                         pairs.begin() +
                             static_cast<std::ptrdiff_t>(begin),
                         pairs.begin() + static_cast<std::ptrdiff_t>(end));
-                    std::vector<genomics::PairMapping> mapped(
-                        chunk.size());
-                    secs += legacyMapChunk(*dataset.reference, seedmap,
-                                           config, threads, sharedIndex,
-                                           chunk, mapped);
-                    std::copy(mapped.begin(), mapped.end(),
-                              legacyOut.begin() +
-                                  static_cast<std::ptrdiff_t>(begin));
+                    secs += pooled.mapAll(chunk).timing.seconds;
                 }
                 return secs;
             };
 
-            // Same chunk replay through the persistent pool.
-            std::vector<genomics::PairMapping> pooledOut(pairs.size());
-            auto pooledRun = [&]() {
-                double secs = 0;
-                for (u64 begin = 0; begin < pairs.size();
-                     begin += chunkPairs) {
-                    const u64 end =
-                        std::min<u64>(pairs.size(), begin + chunkPairs);
-                    std::vector<genomics::ReadPair> chunk(
-                        pairs.begin() +
-                            static_cast<std::ptrdiff_t>(begin),
-                        pairs.begin() + static_cast<std::ptrdiff_t>(end));
-                    auto res = pooled.mapAll(chunk);
-                    secs += res.timing.seconds;
-                    std::copy(res.mappings.begin(), res.mappings.end(),
-                              pooledOut.begin() +
-                                  static_cast<std::ptrdiff_t>(begin));
-                }
-                return secs;
-            };
-
-            // Interleaved best-of-N: the two sides see the same host
-            // noise, and min-time is the standard low-variance pick.
+            // Best-of-N: min-time is the standard low-variance pick.
             constexpr int kReps = 3;
-            double legacySecs = legacyRun();
-            double pooledSecs = pooledRun();
-            for (int rep = 1; rep < kReps; ++rep) {
-                legacySecs = std::min(legacySecs, legacyRun());
-                pooledSecs = std::min(pooledSecs, pooledRun());
-            }
-            pt.legacyPairsPerSec =
-                legacySecs > 0 ? pairs.size() / legacySecs : 0;
-            pt.pooledPairsPerSec =
-                pooledSecs > 0 ? pairs.size() / pooledSecs : 0;
-
-            // The refactor must not change a single mapping.
-            for (std::size_t i = 0; i < pairs.size(); ++i) {
-                if (legacyOut[i].first.pos != pooledOut[i].first.pos ||
-                    legacyOut[i].path != pooledOut[i].path) {
-                    std::fprintf(stderr,
-                                 "pooled/legacy mapping mismatch at "
-                                 "pair %zu\n",
-                                 i);
-                    return 1;
-                }
-            }
+            double secs = replay();
+            for (int rep = 1; rep < kReps; ++rep)
+                secs = std::min(secs, replay());
+            pt.pairsPerSec = secs > 0 ? pairs.size() / secs : 0;
             grid.push_back(pt);
         }
     }
@@ -339,16 +244,13 @@ main(int argc, char **argv)
         ingest.push_back(pt);
     }
 
-    util::Table table({ "threads", "chunk", "chunks", "legacy pairs/s",
-                        "pooled pairs/s", "speedup" });
+    util::Table table({ "threads", "chunk", "chunks", "pairs/s" });
     for (const auto &pt : grid) {
         table.row()
             .cell(static_cast<double>(pt.threads), 0)
             .cell(static_cast<double>(pt.chunkPairs), 0)
             .cell(static_cast<double>(pt.chunks), 0)
-            .cell(pt.legacyPairsPerSec, 0)
-            .cell(pt.pooledPairsPerSec, 0)
-            .cell(pt.speedup(), 2);
+            .cell(pt.pairsPerSec, 0);
     }
     table.print("driver scaling: threads x chunk size");
 
@@ -380,7 +282,7 @@ main(int argc, char **argv)
             return str.str();
         };
         out << "{\n  \"bench\": \"micro_driver_scaling\",\n"
-            << "  \"format\": 2,\n"
+            << "  \"format\": 3,\n"
             << "  \"gpx_version\": \"" << kVersion << "\",\n"
             << "  \"context\": " << simdContextJson() << ",\n"
             << "  \"pairs\": " << pairs.size() << ",\n"
@@ -392,11 +294,7 @@ main(int argc, char **argv)
             out << "    {\"threads\": " << pt.threads
                 << ", \"chunk_pairs\": " << pt.chunkPairs
                 << ", \"chunks\": " << pt.chunks
-                << ", \"legacy_pairs_per_s\": "
-                << num(pt.legacyPairsPerSec, 0)
-                << ", \"pooled_pairs_per_s\": "
-                << num(pt.pooledPairsPerSec, 0)
-                << ", \"pooled_vs_legacy\": " << num(pt.speedup(), 2)
+                << ", \"pairs_per_s\": " << num(pt.pairsPerSec, 0)
                 << "}" << (i + 1 < grid.size() ? "," : "") << "\n";
         }
         out << "  ],\n  \"ingest\": [\n";

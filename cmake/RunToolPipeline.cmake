@@ -67,10 +67,12 @@ run_step(${GPX_MAPEVAL} --ref ${WORK_DIR}/sim.fa
     --min-correct 90)
 
 # --stats-json must carry the full PipelineStats, including the
-# per-stage counters of the stage graph and the I/O spine's stall
-# accounting (reader-starved vs emission-bound seconds).
+# per-stage counters of the stage graph, the fallback's DP lane fill
+# and the I/O spine's stall accounting (reader-starved vs
+# emission-bound seconds).
 file(READ ${WORK_DIR}/stats.json STATS_JSON)
 foreach(key pairs_total light_aligned stages light_align fallback
+        dp_lane_groups dp_lanes_used
         reader_stall_seconds writer_stall_seconds)
     if(NOT STATS_JSON MATCHES "\"${key}\"")
         message(FATAL_ERROR "stats.json is missing key '${key}'")

@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
-"""Gate CI on the micro_driver_scaling benchmark (format v2).
+"""Gate CI on the micro_driver_scaling benchmark (format v3).
 
-Two within-run ratios, machine-independent by construction (the same
+One within-run ratio, machine-independent by construction (the same
 contract style as check_stage_batch.py):
-
-  * pooled_vs_legacy — the persistent worker pool against the seed
-    per-chunk respawn driver, mapping time only. Informational here;
-    regressions surface as a warning, not a failure, because on small
-    or noisy hosts the two legitimately converge.
 
   * spine_vs_single_reader — a whole StreamingMapper run (FASTQ text
     in, SAM text out) with the multi-parser async spine against the
     same run with one parser thread. This is the number the async-spine
     refactor moves, and it is gated: at the gated thread count the
     spine must be >= --min-speedup faster.
+
+The bench's threads x chunk-size `grid` is absolute throughput only;
+it is validated for presence and not gated.
 
 The gate is host-aware: parallel parsing cannot beat a single reader
 on a host without spare cores, so when the *recording* host has fewer
@@ -47,9 +45,9 @@ def main():
         print(f"error: {args.current} is not a micro_driver_scaling "
               f"record")
         return 1
-    if doc.get("format") != 2:
+    if doc.get("format") != 3:
         print(f"error: {args.current} is format "
-              f"{doc.get('format')!r}, need 2 (rerun the bench)")
+              f"{doc.get('format')!r}, need 3 (rerun the bench)")
         return 1
     for key in ("host_threads", "grid", "ingest"):
         if key not in doc:
@@ -59,13 +57,6 @@ def main():
     host_threads = int(doc["host_threads"])
     print(f"recorded on a {host_threads}-thread host, "
           f"{doc.get('pairs', '?')} pairs")
-
-    print("pooled vs legacy (mapping only):")
-    for point in doc["grid"]:
-        ratio = float(point["pooled_vs_legacy"])
-        warn = "  (pooled slower)" if ratio < 0.90 else ""
-        print(f"  threads {point['threads']:3d}  chunk "
-              f"{point['chunk_pairs']:4d}  {ratio:.2f}x{warn}")
 
     print("ingest-included spine vs single reader:")
     gated = None

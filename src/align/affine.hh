@@ -116,6 +116,18 @@ struct BatchAlignScratch
 };
 
 /**
+ * Lane occupancy of fitAlignBatch() sweeps. A sweep costs the same
+ * whether it carries one task or a full lane group, so
+ * lanesUsed / (laneGroups * lane width) is the fraction of the DP work
+ * that was useful. The scalar backend counts one lane per group.
+ */
+struct LaneFill
+{
+    u64 laneGroups = 0; ///< band sweeps run
+    u64 lanesUsed = 0;  ///< tasks those sweeps carried
+};
+
+/**
  * Fitting alignment of @p count independent tasks, interleaved across
  * SIMD lanes: out[i] is bit-identical to
  * fitAlign(tasks[i].query, tasks[i].target, scheme, tasks[i].band) —
@@ -124,11 +136,12 @@ struct BatchAlignScratch
  * in lockstep through one band sweep (8 lanes under AVX2, 16 under
  * AVX-512; per-lane masking covers ragged target lengths and bands).
  * The active util::SimdBackend picks the lane width; the scalar
- * backend runs the production scalar engine per task.
+ * backend runs the production scalar engine per task. Degenerate
+ * (empty) tasks take no lane. Returns the sweeps' lane occupancy.
  */
-void fitAlignBatch(const FitTask *tasks, std::size_t count,
-                   const genomics::ScoringScheme &scheme,
-                   BatchAlignScratch &scratch, AlignResult *out);
+LaneFill fitAlignBatch(const FitTask *tasks, std::size_t count,
+                       const genomics::ScoringScheme &scheme,
+                       BatchAlignScratch &scratch, AlignResult *out);
 
 /**
  * Global alignment: both sequences consumed end to end. Used by unit tests

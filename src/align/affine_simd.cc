@@ -403,12 +403,13 @@ fitGroup(const FitTask *tasks, u32 count, const ScoringScheme &scheme,
 
 } // namespace
 
-void
+LaneFill
 fitAlignBatch(const FitTask *tasks, std::size_t count,
               const ScoringScheme &scheme, BatchAlignScratch &scratch,
               AlignResult *out)
 {
     const util::SimdBackend backend = util::activeSimdBackend();
+    LaneFill fill;
     std::size_t i = 0;
     while (i < count) {
         const std::size_t m = tasks[i].query.size();
@@ -422,6 +423,8 @@ fitAlignBatch(const FitTask *tasks, std::size_t count,
         if (backend == util::SimdBackend::Scalar) {
             out[i] = fitAlign(tasks[i].query, tasks[i].target, scheme,
                               tasks[i].band, scratch.scalar);
+            ++fill.laneGroups;
+            ++fill.lanesUsed;
             ++i;
             continue;
         }
@@ -435,8 +438,11 @@ fitAlignBatch(const FitTask *tasks, std::size_t count,
             fitGroup<16>(tasks + i, cnt, scheme, scratch, out + i);
         else
             fitGroup<8>(tasks + i, cnt, scheme, scratch, out + i);
+        ++fill.laneGroups;
+        fill.lanesUsed += cnt;
         i = g;
     }
+    return fill;
 }
 
 } // namespace align

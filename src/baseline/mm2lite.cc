@@ -289,15 +289,10 @@ Mm2Lite::mapPairsBatch(const ReadPair *const *pairs, std::size_t count,
 
     // One FitTask per surviving chain window of every read, in the
     // exact order the scalar loop would visit them.
-    struct TaskRef
-    {
-        u32 read;      ///< index into reads[]
-        u32 chain;     ///< index into that read's chain list
-        GlobalPos wstart;
-    };
-    std::vector<align::FitTask> tasks;
-    std::vector<TaskRef> refs;
-    std::vector<align::AlignResult> results;
+    std::vector<align::FitTask> &tasks = batch_.tasks;
+    std::vector<TaskRef> &refs = batch_.refs;
+    tasks.clear();
+    refs.clear();
     {
         util::StageTimers::Scope scope(timers_, stages::kAlignment);
         for (std::size_t p = 0; p < count; ++p) {
@@ -334,13 +329,11 @@ Mm2Lite::mapPairsBatch(const ReadPair *const *pairs, std::size_t count,
                 }
             }
         }
-        results.resize(tasks.size());
-        align::fitAlignBatch(tasks.data(), tasks.size(), params_.scoring,
-                             batchScratch_, results.data());
+        runBatchTasks();
 
         // Scalar epilogue per task, replayed in visit order.
         for (std::size_t t = 0; t < tasks.size(); ++t) {
-            align::AlignResult &res = results[t];
+            align::AlignResult &res = batch_.results[t];
             const TaskRef &tr = refs[t];
             ReadState &rs = reads[tr.read];
             dpWork_.alignCells += res.cellUpdates;
@@ -364,35 +357,47 @@ Mm2Lite::mapPairsBatch(const ReadPair *const *pairs, std::size_t count,
 }
 
 void
+Mm2Lite::runBatchTasks()
+{
+    batch_.results.clear();
+    batch_.results.resize(batch_.tasks.size());
+    const align::LaneFill fill =
+        align::fitAlignBatch(batch_.tasks.data(), batch_.tasks.size(),
+                             params_.scoring, batchScratch_,
+                             batch_.results.data());
+    dpWork_.laneGroups += fill.laneGroups;
+    dpWork_.lanesUsed += fill.lanesUsed;
+}
+
+void
 Mm2Lite::alignAtBatch(const AlignAtTask *batch, std::size_t count,
                       Mapping *out)
 {
     util::StageTimers::Scope scope(timers_, stages::kAlignment);
-    std::vector<align::FitTask> tasks(count);
-    std::vector<GlobalPos> wstarts(count);
-    std::vector<u8> skip(count, 0);
+    // A window clipped shorter than its read stays an empty task, which
+    // fitAlignBatch reports invalid without taking a lane.
+    std::vector<align::FitTask> &tasks = batch_.tasks;
+    std::vector<GlobalPos> &wstarts = batch_.wstarts;
+    tasks.assign(count, align::FitTask{});
+    wstarts.resize(count);
     for (std::size_t t = 0; t < count; ++t) {
         const AlignAtTask &at = batch[t];
         auto [wstart, wlen] =
             clampWindow(ref_, at.pos, at.read->size(), at.slack);
         wstarts[t] = wstart;
-        if (wlen < at.read->size()) {
-            skip[t] = 1;
-            continue; // fitAlignBatch treats the empty task as invalid
-        }
+        if (wlen < at.read->size())
+            continue;
         tasks[t].query = *at.read;
         tasks[t].target = ref_.windowView(wstart, wlen);
         tasks[t].band = static_cast<i32>(2 * at.slack + 32);
     }
-    std::vector<align::AlignResult> results(count);
-    align::fitAlignBatch(tasks.data(), count, params_.scoring,
-                         batchScratch_, results.data());
+    runBatchTasks();
     for (std::size_t t = 0; t < count; ++t) {
         Mapping &m = out[t];
         m = Mapping{};
-        if (skip[t])
+        if (tasks[t].target.size() == 0)
             continue;
-        align::AlignResult &res = results[t];
+        align::AlignResult &res = batch_.results[t];
         dpWork_.alignCells += res.cellUpdates;
         if (!res.valid || res.score < params_.minAlignScore)
             continue;

@@ -52,6 +52,8 @@ struct DpWork
 {
     u64 chainCells = 0;
     u64 alignCells = 0;
+    u64 laneGroups = 0; ///< batched DP sweeps run (align::LaneFill)
+    u64 lanesUsed = 0;  ///< alignments those sweeps carried
 };
 
 /** Seed-chain-align mapper with paired-end resolution. */
@@ -124,6 +126,17 @@ class Mm2Lite
     const genomics::Reference &reference() const { return ref_; }
 
   private:
+    /** One batched alignment's way back to its read and chain. */
+    struct TaskRef
+    {
+        u32 read;  ///< index into the batch's reads
+        u32 chain; ///< index into that read's chain list
+        GlobalPos wstart;
+    };
+
+    /** Run the staged batch_.tasks through fitAlignBatch(). */
+    void runBatchTasks();
+
     std::vector<align::Anchor> collectAnchors(const genomics::Read &read);
     std::vector<align::Chain> planRead(const genomics::Read &read);
     std::vector<genomics::Mapping>
@@ -145,6 +158,17 @@ class Mm2Lite
     align::AlignScratch alignScratch_;
     /** Lane-major working set of the interleaved batch DP engine. */
     align::BatchAlignScratch batchScratch_;
+    /**
+     * Task staging of mapPairsBatch()/alignAtBatch(), cleared per call
+     * with its capacity kept.
+     */
+    struct
+    {
+        std::vector<align::FitTask> tasks;
+        std::vector<align::AlignResult> results;
+        std::vector<TaskRef> refs;      ///< mapPairsBatch: 1:1 with tasks
+        std::vector<GlobalPos> wstarts; ///< alignAtBatch: 1:1 with tasks
+    } batch_;
 };
 
 } // namespace baseline

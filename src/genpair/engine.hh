@@ -8,12 +8,14 @@
  * merge per-worker statistics, time the run. The engine owns all of it
  * exactly once: a persistent worker pool (per-worker contexts built
  * once at start-up, on the worker's own thread), an atomic block
- * cursor for load balance, and the RunTiming measurement. Drivers are
- * thin configuration layers: they provide a context factory (their
- * per-worker engines) and a block-mapping function, and the engine
- * guarantees that item i of a job is mapped exactly once, by exactly
- * one context — results landing at input index keep output
- * bit-identical to a serial run regardless of scheduling.
+ * cursor with a guided grain (big blocks first, shrinking to the
+ * minimum at the tail) for load balance, and the RunTiming
+ * measurement. Drivers are thin configuration layers: they provide a
+ * context factory (their per-worker engines) and a block-mapping
+ * function, and the engine guarantees that item i of a job is mapped
+ * exactly once, by exactly one context — results landing at input
+ * index keep output bit-identical to a serial run regardless of
+ * scheduling.
  */
 
 #ifndef GPX_GENPAIR_ENGINE_HH
@@ -95,8 +97,11 @@ class MapperEngine
     /**
      * @param threads Worker count; 0 = hardware concurrency.
      * @param factory Per-worker context builder.
-     * @param block_items Items a worker claims per cursor grab (the
-     *        load-balance grain and the stage-graph batch size).
+     * @param block_items Minimum items a worker claims per cursor grab
+     *        (the load-balance grain and the smallest stage-graph
+     *        batch). Big jobs claim guided blocks of up to 16x this:
+     *        a share of the unclaimed items that shrinks as the job
+     *        drains (engine.cc gives the rule).
      */
     MapperEngine(u32 threads, ContextFactory factory,
                  u64 block_items = kDefaultBlockItems);
@@ -107,8 +112,9 @@ class MapperEngine
 
     /**
      * Run @p fn over all blocks of [0, items) and return the measured
-     * timing. Blocks are pulled off a shared atomic cursor; every item
-     * is processed exactly once.
+     * timing. Blocks are claimed off a shared atomic cursor; every item
+     * is processed exactly once. The block partition depends only on
+     * @p items, threads() and blockItems(), never on scheduling.
      */
     RunTiming run(u64 items, const BlockFn &fn);
 
@@ -133,11 +139,14 @@ class MapperEngine
     u32 threads() const { return threads_; }
     u64 blockItems() const { return blockItems_; }
 
-    /** Default load-balance grain (= the SoA batch size). */
+    /** Default minimum grain (= the smallest SoA batch size). */
     static constexpr u64 kDefaultBlockItems = 64;
 
   private:
     void workerLoop(u32 slot, const ContextFactory &factory);
+
+    /** Items the block starting at @p begin claims (before clipping). */
+    u64 grainAt(u64 begin, u64 items) const;
 
     u32 threads_;
     u64 blockItems_;

@@ -75,8 +75,11 @@ PipelineStats::writeJson(std::ostream &os) const
         os << "    \"" << stageName(static_cast<StageId>(s))
            << "\": {\"batches\": " << c.batches
            << ", \"items_in\": " << c.itemsIn
-           << ", \"items_out\": " << c.itemsOut << "}"
-           << (s + 1 < kNumStages ? "," : "") << "\n";
+           << ", \"items_out\": " << c.itemsOut;
+        if (static_cast<StageId>(s) == StageId::Fallback)
+            os << ", \"dp_lane_groups\": " << dpLaneGroups
+               << ", \"dp_lanes_used\": " << dpLanesUsed;
+        os << "}" << (s + 1 < kNumStages ? "," : "") << "\n";
     }
     os << "  }\n}\n";
 }

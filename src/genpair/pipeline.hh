@@ -66,6 +66,15 @@ struct PipelineStats
     u64 gateRejected = 0; ///< candidates dropped by the SS8 gate
 
     /**
+     * Lane occupancy of the fallback stage's batched DP sweeps
+     * (baseline::DpWork): dpLanesUsed / (dpLaneGroups * lane width)
+     * is the useful share of the DP work. Printed in the fallback
+     * stage's JSON block.
+     */
+    u64 dpLaneGroups = 0;
+    u64 dpLanesUsed = 0;
+
+    /**
      * Ingest accounting (streaming drivers only; zero for batch runs,
      * whose reads arrive pre-encoded): non-ACGT input characters the
      * FASTQ parsers encoded as A (IngestStats), summed over both
@@ -115,6 +124,8 @@ struct PipelineStats
         lightAlignsAttempted += other.lightAlignsAttempted;
         lightHypotheses += other.lightHypotheses;
         gateRejected += other.gateRejected;
+        dpLaneGroups += other.dpLaneGroups;
+        dpLanesUsed += other.dpLanesUsed;
         ambiguousBases += other.ambiguousBases;
         readerStallSeconds += other.readerStallSeconds;
         writerStallSeconds += other.writerStallSeconds;

@@ -39,6 +39,19 @@ counters(const StageContext &ctx, StageId id)
     return ctx.stats.stage[static_cast<std::size_t>(id)];
 }
 
+/**
+ * @p v emptied, then holding @p n value-initialized elements; its
+ * capacity carries over, so a warm batch allocates nothing here.
+ */
+template <typename T>
+std::vector<T> &
+reuse(std::vector<T> &v, std::size_t n = 0)
+{
+    v.clear();
+    v.resize(n);
+    return v;
+}
+
 /** Pairs still on the fast path (for the itemsOut accounting). */
 inline u64
 pendingCount(const PairBatch &batch)
@@ -354,14 +367,8 @@ runLightAlignStage(const StageContext &ctx, PairBatch &batch)
     // right side only where the left aligned; two phased sweeps keep
     // that exact attempt set, so every counter and trace field is
     // unchanged.
-    struct CandRef
-    {
-        u64 pair;
-        u64 cand; ///< index into batch.candidatePairs
-        u32 orient;
-    };
-    std::vector<CandRef> cands;
-    std::vector<LightBatchItem> leftItems;
+    std::vector<CandidateRef> &cands = reuse(batch.sweepCands);
+    std::vector<LightBatchItem> &leftItems = reuse(batch.lightLeftItems);
     for (u64 i = 0; i < batch.size; ++i) {
         if (batch.route[i] != PairRoute::Pending)
             continue;
@@ -381,12 +388,14 @@ runLightAlignStage(const StageContext &ctx, PairBatch &batch)
         }
     }
 
-    std::vector<LightResult> leftRes(cands.size());
+    std::vector<LightResult> &leftRes =
+        reuse(batch.lightLeftRes, cands.size());
     ctx.light.alignBatch(leftItems.data(), leftItems.size(),
                          batch.lightBatch, leftRes.data());
 
-    std::vector<LightBatchItem> rightItems;
-    std::vector<std::size_t> rightSlot(cands.size(), SIZE_MAX);
+    std::vector<LightBatchItem> &rightItems = reuse(batch.lightRightItems);
+    std::vector<std::size_t> &rightSlot = batch.rightSlot;
+    rightSlot.assign(cands.size(), SIZE_MAX);
     for (std::size_t t = 0; t < cands.size(); ++t) {
         ++ctx.stats.lightAlignsAttempted;
         ctx.stats.lightHypotheses += leftRes[t].hypothesesTried;
@@ -397,7 +406,8 @@ runLightAlignStage(const StageContext &ctx, PairBatch &batch)
             { &rightPlanes(batch, cands[t].pair, cands[t].orient),
               batch.candidatePairs[cands[t].cand].rightStart });
     }
-    std::vector<LightResult> rightRes(rightItems.size());
+    std::vector<LightResult> &rightRes =
+        reuse(batch.lightRightRes, rightItems.size());
     ctx.light.alignBatch(rightItems.data(), rightItems.size(),
                          batch.lightBatch, rightRes.data());
     for (const LightResult &r : rightRes) {
@@ -482,13 +492,15 @@ runFallbackStage(const StageContext &ctx, PairBatch &batch)
 {
     StageCounters &sc = counters(ctx, StageId::Fallback);
     ++sc.batches;
+    const baseline::DpWork dpBefore =
+        ctx.fallback ? ctx.fallback->dpWork() : baseline::DpWork{};
 
     // Pass 1: classify routed pairs so each fallback class can run as
     // one batched DP sweep across the whole PairBatch (the interleaved
     // engine fills its lanes across pair boundaries). Pairs without a
     // fallback engine resolve to Unmapped here, exactly as before.
-    std::vector<u64> fullDp; ///< exits 1+2: full seed-chain-align DP
-    std::vector<u64> exit3;  ///< exit 3: DP at known candidate pairs
+    std::vector<u64> &fullDp = reuse(batch.fullDp);
+    std::vector<u64> &exit3 = reuse(batch.exit3);
     for (u64 i = 0; i < batch.size; ++i) {
         const PairRoute route = batch.route[i];
         if (route == PairRoute::LightAligned)
@@ -519,11 +531,12 @@ runFallbackStage(const StageContext &ctx, PairBatch &batch)
     // Full DP pipeline for pairs GenPair could not narrow down, every
     // chain alignment of the class in one interleaved batch.
     if (!fullDp.empty()) {
-        std::vector<const genomics::ReadPair *> prs;
-        prs.reserve(fullDp.size());
+        std::vector<const genomics::ReadPair *> &prs =
+            reuse(batch.fullDpPairs);
         for (u64 i : fullDp)
             prs.push_back(&batch.pairs[i]);
-        std::vector<PairMapping> mapped(fullDp.size());
+        std::vector<PairMapping> &mapped =
+            reuse(batch.fullDpOut, fullDp.size());
         ctx.fallback->mapPairsBatch(prs.data(), prs.size(),
                                     mapped.data());
         for (std::size_t k = 0; k < fullDp.size(); ++k) {
@@ -546,14 +559,9 @@ runFallbackStage(const StageContext &ctx, PairBatch &batch)
     // then the right windows of passing lefts — so the alignment set
     // (and with it every counter) is unchanged.
     if (!exit3.empty()) {
-        struct CandRef
-        {
-            u64 pair;
-            u64 cand;     ///< index into batch.candidatePairs
-            u32 orient;
-        };
-        std::vector<CandRef> cands;
-        std::vector<baseline::Mm2Lite::AlignAtTask> leftTasks;
+        std::vector<CandidateRef> &cands = reuse(batch.sweepCands);
+        std::vector<baseline::Mm2Lite::AlignAtTask> &leftTasks =
+            reuse(batch.dpLeftTasks);
         for (u64 i : exit3) {
             for (u32 o = 0; o < 2; ++o) {
                 const OrientRefs refs = orientation(batch, i, o);
@@ -573,12 +581,15 @@ runFallbackStage(const StageContext &ctx, PairBatch &batch)
             }
         }
 
-        std::vector<Mapping> leftRes(cands.size());
+        std::vector<Mapping> &leftRes =
+            reuse(batch.dpLeftRes, cands.size());
         ctx.fallback->alignAtBatch(leftTasks.data(), leftTasks.size(),
                                    leftRes.data());
 
-        std::vector<baseline::Mm2Lite::AlignAtTask> rightTasks;
-        std::vector<std::size_t> rightSlot(cands.size(), SIZE_MAX);
+        std::vector<baseline::Mm2Lite::AlignAtTask> &rightTasks =
+            reuse(batch.dpRightTasks);
+        std::vector<std::size_t> &rightSlot = batch.rightSlot;
+        rightSlot.assign(cands.size(), SIZE_MAX);
         for (std::size_t t = 0; t < cands.size(); ++t) {
             const Mapping &lm = leftRes[t];
             if (!lm.mapped || lm.score < ctx.params.minDpScore)
@@ -591,7 +602,8 @@ runFallbackStage(const StageContext &ctx, PairBatch &batch)
                   batch.candidatePairs[cands[t].cand].rightStart,
                   ctx.params.dpSlack });
         }
-        std::vector<Mapping> rightRes(rightTasks.size());
+        std::vector<Mapping> &rightRes =
+            reuse(batch.dpRightRes, rightTasks.size());
         ctx.fallback->alignAtBatch(rightTasks.data(), rightTasks.size(),
                                    rightRes.data());
 
@@ -644,6 +656,12 @@ runFallbackStage(const StageContext &ctx, PairBatch &batch)
                 pm.path = MappingPath::Unmapped;
             }
         }
+    }
+
+    if (ctx.fallback) {
+        const baseline::DpWork &dp = ctx.fallback->dpWork();
+        ctx.stats.dpLaneGroups += dp.laneGroups - dpBefore.laneGroups;
+        ctx.stats.dpLanesUsed += dp.lanesUsed - dpBefore.lanesUsed;
     }
 }
 

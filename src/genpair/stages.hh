@@ -115,6 +115,14 @@ struct PairTraceRecord
     void writeText(std::ostream &os) const;
 };
 
+/** One budgeted candidate pair of one orientation (batched sweeps). */
+struct CandidateRef
+{
+    u64 pair;
+    u64 cand; ///< index into PairBatch::candidatePairs
+    u32 orient;
+};
+
 /** The structure-of-arrays batch flowing through the stage graph. */
 struct PairBatch
 {
@@ -148,6 +156,24 @@ struct PairBatch
     std::vector<u8> lightLeftValid;
     std::vector<u8> lightRightValid;
     LightBatchScratch lightBatch;
+
+    // Staging of the phased (left sweep, then right sweep) light-align
+    // and exit-3 DP stages, plus the fallback class lists. Each stage
+    // clears what it uses, so capacity carries across batches.
+    std::vector<CandidateRef> sweepCands;
+    std::vector<std::size_t> rightSlot; ///< sweepCands -> right sweep
+    std::vector<LightBatchItem> lightLeftItems;
+    std::vector<LightBatchItem> lightRightItems;
+    std::vector<LightResult> lightLeftRes;
+    std::vector<LightResult> lightRightRes;
+    std::vector<u64> fullDp; ///< exits 1+2: full seed-chain-align DP
+    std::vector<u64> exit3;  ///< exit 3: DP at known candidate pairs
+    std::vector<const genomics::ReadPair *> fullDpPairs;
+    std::vector<genomics::PairMapping> fullDpOut;
+    std::vector<baseline::Mm2Lite::AlignAtTask> dpLeftTasks;
+    std::vector<baseline::Mm2Lite::AlignAtTask> dpRightTasks;
+    std::vector<genomics::Mapping> dpLeftRes;
+    std::vector<genomics::Mapping> dpRightRes;
 
     /** Bind a run and size the SoA lanes (capacity is kept). */
     void bind(const genomics::ReadPair *p, u64 n,

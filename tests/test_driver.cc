@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests for the parallel mapping driver: identical results to a serial
- * run, correct aggregation, and both engine configurations.
+ * run, correct aggregation, both engine configurations, and the same
+ * mappings whatever block partition the engine chooses.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "genpair/driver.hh"
@@ -182,6 +184,104 @@ TEST_F(DriverTest, GenPairFasterThanPureMm2)
     auto a = ParallelMapper(ref_, *map_, gp).mapAll(pairs_);
     auto b = ParallelMapper(ref_, *map_, mm2).mapAll(pairs_);
     EXPECT_GT(a.timing.itemsPerSec, b.timing.itemsPerSec * 1.1);
+}
+
+/**
+ * Every PipelineStats counter of two runs over the same input, except
+ * the two that count batches and so depend on the block partition:
+ * stages.*.batches and dpLaneGroups (a bigger batch fills more of each
+ * DP sweep's lanes, so it needs fewer sweeps for the same tasks).
+ */
+void
+expectSameWorkCounters(const genpair::PipelineStats &s,
+                       const genpair::PipelineStats &p)
+{
+    EXPECT_EQ(s.pairsTotal, p.pairsTotal);
+    EXPECT_EQ(s.seedMissFallback, p.seedMissFallback);
+    EXPECT_EQ(s.paFilterFallback, p.paFilterFallback);
+    EXPECT_EQ(s.lightAlignFallback, p.lightAlignFallback);
+    EXPECT_EQ(s.lightAligned, p.lightAligned);
+    EXPECT_EQ(s.dpAligned, p.dpAligned);
+    EXPECT_EQ(s.fullDpMapped, p.fullDpMapped);
+    EXPECT_EQ(s.unmapped, p.unmapped);
+    EXPECT_EQ(s.query.seedLookups, p.query.seedLookups);
+    EXPECT_EQ(s.query.locationsFetched, p.query.locationsFetched);
+    EXPECT_EQ(s.query.filterIterations, p.query.filterIterations);
+    EXPECT_EQ(s.candidatePairs, p.candidatePairs);
+    EXPECT_EQ(s.lightAlignsAttempted, p.lightAlignsAttempted);
+    EXPECT_EQ(s.lightHypotheses, p.lightHypotheses);
+    EXPECT_EQ(s.gateRejected, p.gateRejected);
+    EXPECT_EQ(s.dpLanesUsed, p.dpLanesUsed);
+    EXPECT_EQ(s.ambiguousBases, p.ambiguousBases);
+    for (u32 st = 0; st < genpair::kNumStages; ++st) {
+        EXPECT_EQ(s.stage[st].itemsIn, p.stage[st].itemsIn) << st;
+        EXPECT_EQ(s.stage[st].itemsOut, p.stage[st].itemsOut) << st;
+    }
+}
+
+void
+expectSameMapping(const genomics::Mapping &a, const genomics::Mapping &b)
+{
+    EXPECT_EQ(a.mapped, b.mapped);
+    EXPECT_EQ(a.pos, b.pos);
+    EXPECT_EQ(a.reverse, b.reverse);
+    EXPECT_EQ(a.score, b.score);
+    EXPECT_EQ(a.cigar, b.cigar);
+}
+
+TEST(DriverGrainTest, GuidedBlocksMapLikeSerial64PairBatches)
+{
+    // Big enough that the engine's guided grain claims blocks above
+    // the 64-pair minimum at 1 and at 4 threads, at an error rate that
+    // sends a large share of pairs through the batched DP fallback.
+    simdata::GenomeParams gp;
+    gp.length = 500000;
+    gp.chromosomes = 1;
+    gp.seed = 67;
+    const genomics::Reference ref = simdata::generateGenome(gp);
+    const genpair::SeedMap map(ref, genpair::SeedMapParams{});
+    simdata::DiploidGenome donor(ref, simdata::VariantParams{});
+    simdata::ReadSimParams rp;
+    rp.errors = simdata::ErrorProfile::uniform(0.05);
+    simdata::ReadSimulator sim(donor, rp);
+    const std::vector<genomics::ReadPair> pairs = sim.simulate(4096);
+
+    // One fallback index for the serial engine and both pools.
+    DriverConfig base;
+    base.fallbackIndex = std::make_shared<const baseline::MinimizerIndex>(
+        ref, base.fallback.minimizers);
+    baseline::Mm2Lite dp(ref, base.fallback, base.fallbackIndex);
+    genpair::GenPairPipeline serial(ref, map, base.pipeline, &dp);
+    std::vector<genomics::PairMapping> expected(pairs.size());
+    constexpr u64 kSlice = genpair::MapperEngine::kDefaultBlockItems;
+    for (u64 begin = 0; begin < pairs.size(); begin += kSlice)
+        serial.mapBatch(pairs.data() + begin,
+                        std::min<u64>(kSlice, pairs.size() - begin),
+                        expected.data() + begin);
+    const genpair::PipelineStats &s = serial.stats();
+    ASSERT_GT(s.dpAligned + s.fullDpMapped, pairs.size() / 4);
+
+    for (u32 threads : { 1u, 4u }) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads");
+        DriverConfig cfg = base;
+        cfg.threads = threads;
+        auto res = ParallelMapper(ref, map, cfg).mapAll(pairs);
+        ASSERT_EQ(res.mappings.size(), pairs.size());
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+            SCOPED_TRACE(::testing::Message() << "pair " << i);
+            EXPECT_EQ(res.mappings[i].path, expected[i].path);
+            expectSameMapping(res.mappings[i].first, expected[i].first);
+            expectSameMapping(res.mappings[i].second,
+                              expected[i].second);
+        }
+        expectSameWorkCounters(s, res.stats);
+        // The run really took blocks above the 64-pair minimum...
+        EXPECT_LT(res.stats.stageCounters(genpair::StageId::Seed).batches,
+                  s.stageCounters(genpair::StageId::Seed).batches);
+        // ...and packed the same DP tasks into no more sweeps.
+        EXPECT_GT(res.stats.dpLanesUsed, 0u);
+        EXPECT_LE(res.stats.dpLaneGroups, s.dpLaneGroups);
+    }
 }
 
 } // namespace

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <utility>
 
 #include "genpair/engine.hh"
 #include "genpair/longread.hh"
@@ -53,6 +55,94 @@ TEST(MapperEngineTest, EveryItemProcessedExactlyOnce)
                                                << " processed twice";
     });
     EXPECT_EQ(seen.size(), kItems);
+}
+
+/** The block partition of one run, sorted by begin. */
+std::vector<std::pair<u64, u64>>
+recordPartition(MapperEngine &engine, u64 items)
+{
+    std::mutex mu;
+    std::vector<std::pair<u64, u64>> blocks;
+    engine.run(items, [&](WorkerContext &, u64 begin, u64 end) {
+        std::lock_guard<std::mutex> lock(mu);
+        blocks.emplace_back(begin, end);
+    });
+    std::sort(blocks.begin(), blocks.end());
+    return blocks;
+}
+
+TEST(MapperEngineTest, GuidedPartitionIsExactBoundedAndDeterministic)
+{
+    for (u32 threads : { 1u, 3u, 4u, 8u }) {
+        for (u64 minGrain : { u64{ 1 }, u64{ 4 }, u64{ 64 } }) {
+            MapperEngine engine(
+                threads,
+                [](u32) { return std::make_unique<RecordingContext>(); },
+                minGrain);
+            for (u64 items : { u64{ 0 }, u64{ 1 }, u64{ 63 }, u64{ 64 },
+                               u64{ 1000 }, u64{ 65536 },
+                               u64{ 70001 } }) {
+                SCOPED_TRACE(::testing::Message()
+                             << "threads " << threads << ", min grain "
+                             << minGrain << ", items " << items);
+                const auto blocks = recordPartition(engine, items);
+
+                // Sorted blocks tile [0, items): every item exactly once.
+                u64 next = 0;
+                for (const auto &[begin, end] : blocks) {
+                    ASSERT_EQ(begin, next);
+                    ASSERT_LT(begin, end);
+                    next = end;
+                }
+                EXPECT_EQ(next, items);
+
+                // Only the last block may fall short of the minimum.
+                for (std::size_t b = 0; b + 1 < blocks.size(); ++b) {
+                    const u64 size = blocks[b].second - blocks[b].first;
+                    EXPECT_GE(size, minGrain) << "block " << b;
+                    EXPECT_LE(size, 16 * minGrain) << "block " << b;
+                }
+                if (!blocks.empty())
+                    EXPECT_LE(blocks.back().second - blocks.back().first,
+                              16 * minGrain);
+
+                EXPECT_EQ(recordPartition(engine, items), blocks)
+                    << "partition changed between runs";
+            }
+        }
+    }
+}
+
+TEST(MapperEngineTest, BigJobsClaimBlocksAboveTheMinimumGrain)
+{
+    // A 65,536-pair streaming chunk: a fixed 64-item grain would
+    // dispatch 1,024 blocks; the guided grain starts at 16x that size.
+    MapperEngine engine(4, [](u32) {
+        return std::make_unique<RecordingContext>();
+    });
+    constexpr u64 kItems = 65536;
+    const auto blocks = recordPartition(engine, kItems);
+    EXPECT_LT(blocks.size(),
+              kItems / MapperEngine::kDefaultBlockItems);
+    EXPECT_EQ(blocks.front().second - blocks.front().first,
+              16 * MapperEngine::kDefaultBlockItems);
+    // The tail still shrinks to the minimum for load balance.
+    EXPECT_LE(blocks.back().second - blocks.back().first,
+              MapperEngine::kDefaultBlockItems);
+}
+
+TEST(MapperEngineTest, SmallJobsKeepTheMinimumGrain)
+{
+    // Serve-sized requests (256 pairs on 4 threads) are cut exactly as
+    // before: fixed 64-item blocks.
+    MapperEngine engine(4, [](u32) {
+        return std::make_unique<RecordingContext>();
+    });
+    const auto blocks = recordPartition(engine, 256);
+    ASSERT_EQ(blocks.size(), 4u);
+    for (std::size_t b = 0; b < blocks.size(); ++b)
+        EXPECT_EQ(blocks[b], std::make_pair(u64{ 64 } * b,
+                                            u64{ 64 } * (b + 1)));
 }
 
 TEST(MapperEngineTest, ContextsPersistAcrossRuns)

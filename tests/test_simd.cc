@@ -251,6 +251,37 @@ TEST(Simd, FitAlignBatchMatchesScalar)
     });
 }
 
+TEST(Simd, FitAlignBatchCountsLaneFill)
+{
+    // 20 tasks of one query length and one degenerate (empty) task: a
+    // SIMD backend sweeps ceil(20 / lanes) groups carrying 20 lanes,
+    // the scalar backend one group per task; the empty task takes none.
+    const genomics::ScoringScheme sc = genomics::ScoringScheme::shortRead();
+    forEachBackend([&sc] {
+        util::Pcg32 rng(4242);
+        std::vector<DnaSequence> qs, ts;
+        for (int k = 0; k < 20; ++k) {
+            qs.push_back(randomSeq(rng, 60));
+            ts.push_back(randomSeq(rng, 90));
+        }
+        std::vector<align::FitTask> tasks;
+        for (std::size_t k = 0; k < qs.size(); ++k) {
+            if (k == 7)
+                tasks.push_back(align::FitTask{});
+            tasks.push_back({ qs[k], ts[k], 40 });
+        }
+        align::BatchAlignScratch bscr;
+        std::vector<align::AlignResult> out(tasks.size());
+        const align::LaneFill fill = align::fitAlignBatch(
+            tasks.data(), tasks.size(), sc, bscr, out.data());
+        const u64 lanes = util::simdDpLanes(util::activeSimdBackend());
+        // The empty task splits the run of equal lengths in two.
+        EXPECT_EQ(fill.lanesUsed, 20u);
+        EXPECT_EQ(fill.laneGroups,
+                  (7 + lanes - 1) / lanes + (13 + lanes - 1) / lanes);
+    });
+}
+
 TEST(Simd, ShdFilterBatchMatchesScalar)
 {
     filters::ShdFilter filter;

@@ -20,6 +20,7 @@
 #include "simdata/genome_generator.hh"
 #include "simdata/read_simulator.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 
 namespace {
 
@@ -124,8 +125,10 @@ class StageGraphTest : public ::testing::Test
         EXPECT_EQ(a.lightAlignsAttempted, b.lightAlignsAttempted);
         EXPECT_EQ(a.lightHypotheses, b.lightHypotheses);
         EXPECT_EQ(a.gateRejected, b.gateRejected);
+        EXPECT_EQ(a.dpLanesUsed, b.dpLanesUsed);
         // Per-stage item counters are partition-invariant; only the
-        // batch counts depend on how the input was chopped.
+        // batch counts (and the DP sweeps, dpLaneGroups) depend on how
+        // the input was chopped.
         for (u32 s = 0; s < genpair::kNumStages; ++s) {
             EXPECT_EQ(a.stage[s].itemsIn, b.stage[s].itemsIn) << s;
             EXPECT_EQ(a.stage[s].itemsOut, b.stage[s].itemsOut) << s;
@@ -217,6 +220,40 @@ TEST_F(StageGraphTest, StageCountersAreConsistent)
     EXPECT_EQ(light.itemsOut, st.lightAligned);
     EXPECT_EQ(fb.itemsIn, pairs_.size() - st.lightAligned);
     EXPECT_EQ(seed.batches, query.batches);
+}
+
+TEST_F(StageGraphTest, DpLaneFillCountsTheFallbackSweeps)
+{
+    std::vector<genomics::PairMapping> out;
+    const auto perPair = runBatched(1, &out);
+    const auto whole = runBatched(pairs_.size(), &out);
+    const u64 lanes = util::simdDpLanes(util::activeSimdBackend());
+
+    // Every DP task takes one lane whatever the partition; a bigger
+    // batch packs them into no more sweeps, each at most full.
+    EXPECT_GT(perPair.dpLanesUsed, 0u);
+    EXPECT_EQ(perPair.dpLanesUsed, whole.dpLanesUsed);
+    EXPECT_LE(whole.dpLaneGroups, perPair.dpLaneGroups);
+    EXPECT_LE(perPair.dpLaneGroups, perPair.dpLanesUsed);
+    EXPECT_LE(whole.dpLanesUsed, whole.dpLaneGroups * lanes);
+    EXPECT_GE(whole.dpLanesUsed, whole.dpLaneGroups);
+
+    // --stats-json carries both in the fallback stage's block.
+    std::ostringstream js;
+    whole.writeJson(js);
+    std::string fallbackLine;
+    std::istringstream lines(js.str());
+    for (std::string line; std::getline(lines, line);)
+        if (line.find("\"fallback\"") != std::string::npos)
+            fallbackLine = line;
+    EXPECT_NE(fallbackLine.find("\"dp_lane_groups\": " +
+                                std::to_string(whole.dpLaneGroups)),
+              std::string::npos)
+        << fallbackLine;
+    EXPECT_NE(fallbackLine.find("\"dp_lanes_used\": " +
+                                std::to_string(whole.dpLanesUsed)),
+              std::string::npos)
+        << fallbackLine;
 }
 
 TEST_F(StageGraphTest, TraceRecordsMatchRouting)
