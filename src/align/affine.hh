@@ -95,31 +95,41 @@ struct FitTask
     i32 band = -1;
 };
 
+/** Lane-major operands and DP rows of one lane score type. */
+template <typename Score>
+struct LaneRows
+{
+    std::vector<Score> queryCodes;  ///< [(i-1)*L + lane]
+    std::vector<Score> targetCodes; ///< [(j-1)*L + lane]
+    std::vector<Score> hPrev;
+    std::vector<Score> hCur;
+    std::vector<Score> f1;
+    std::vector<Score> f2;
+};
+
 /**
  * Working set of the interleaved batch engine: lane-major (struct-of-
- * lanes) H/E/F rows, decoded operands and the lane-major traceback
- * matrix, plus a scalar AlignScratch for the portable backend. Sized
- * by the widest lane group seen; reuse across calls is allocation-free
- * once warm.
+ * lanes) H/E/F rows and decoded operands per lane score type, the
+ * lane-major traceback matrix, plus a scalar AlignScratch for the
+ * portable backend. Sized by the widest lane group seen; reuse across
+ * calls is allocation-free once warm.
  */
 struct BatchAlignScratch
 {
     std::vector<u8> traceback; ///< [(i*(nMax+1)+j)*L + lane]
-    std::vector<i32> queryCodes;  ///< [(i-1)*L + lane]
-    std::vector<i32> targetCodes; ///< [(j-1)*L + lane]
-    std::vector<i32> hPrev;
-    std::vector<i32> hCur;
-    std::vector<i32> f1;
-    std::vector<i32> f2;
+    LaneRows<i16> rows16;      ///< i16 lanes (see affine_simd.cc)
+    LaneRows<i32> rows32;      ///< i32 lanes, past the i16 bound
     std::vector<u8> decodeTmp; ///< contiguous decode staging
     AlignScratch scalar;       ///< SimdBackend::Scalar fallback path
 };
 
 /**
- * Lane occupancy of fitAlignBatch() sweeps. A sweep costs the same
- * whether it carries one task or a full lane group, so
- * lanesUsed / (laneGroups * lane width) is the fraction of the DP work
- * that was useful. The scalar backend counts one lane per group.
+ * Lane occupancy of fitAlignBatch() sweeps. A sweep costs about the
+ * same whether it carries one task or a full lane group, so
+ * lanesUsed / (laneGroups * util::simdDpLanes()) is the fraction of
+ * the DP work that was useful. An i32-lane sweep costs as much as an
+ * i16 one but carries at most half that width. The scalar backend
+ * counts one lane per group.
  */
 struct LaneFill
 {
@@ -133,11 +143,14 @@ struct LaneFill
  * fitAlign(tasks[i].query, tasks[i].target, scheme, tasks[i].band) —
  * lanes never exchange data, each computes exactly the scalar engine's
  * arithmetic — but consecutive tasks with equal query length advance
- * in lockstep through one band sweep (8 lanes under AVX2, 16 under
- * AVX-512; per-lane masking covers ragged target lengths and bands).
- * The active util::SimdBackend picks the lane width; the scalar
- * backend runs the production scalar engine per task. Degenerate
- * (empty) tasks take no lane. Returns the sweeps' lane occupancy.
+ * in lockstep through one band sweep (16 i16 lanes under AVX2, 32
+ * under AVX-512; per-lane masking covers ragged target lengths and
+ * bands). A lane group whose query length, widest target and scheme
+ * could leave the i16 score range runs in i32 lanes, half as many per
+ * sweep. The active util::SimdBackend picks the lane width; the
+ * scalar backend runs the production scalar engine per task, one
+ * lane per task. Degenerate (empty) tasks take no lane. Returns the
+ * sweeps' lane occupancy.
  */
 LaneFill fitAlignBatch(const FitTask *tasks, std::size_t count,
                        const genomics::ScoringScheme &scheme,

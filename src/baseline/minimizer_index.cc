@@ -33,10 +33,19 @@ extractMinimizers(const genomics::DnaView &seq,
                   const MinimizerParams &params)
 {
     std::vector<Minimizer> out;
+    extractMinimizers(seq, params, out);
+    return out;
+}
+
+void
+extractMinimizers(const genomics::DnaView &seq,
+                  const MinimizerParams &params, std::vector<Minimizer> &out)
+{
+    out.clear();
     const u32 k = params.k;
     const u32 w = params.w;
     if (seq.size() < k)
-        return out;
+        return;
     gpx_assert(k >= 4 && k <= 31, "k must be in [4,31]");
     gpx_assert(w >= 1, "w must be positive");
 
@@ -107,7 +116,6 @@ extractMinimizers(const genomics::DnaView &seq,
             }
         }
     }
-    return out;
 }
 
 std::vector<Minimizer>

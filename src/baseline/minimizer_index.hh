@@ -46,6 +46,11 @@ struct Minimizer
 std::vector<Minimizer> extractMinimizers(const genomics::DnaView &seq,
                                          const MinimizerParams &params);
 
+/** extractMinimizers() into @p out (cleared first, capacity kept). */
+void extractMinimizers(const genomics::DnaView &seq,
+                       const MinimizerParams &params,
+                       std::vector<Minimizer> &out);
+
 /**
  * The original per-base implementation (std::deque monotonic queue),
  * retained verbatim as the oracle the property tests and the

@@ -1,7 +1,7 @@
 #include "baseline/mm2lite.hh"
 
 #include <algorithm>
-#include <unordered_set>
+#include <numeric>
 
 #include "util/logging.hh"
 
@@ -53,21 +53,23 @@ Mm2Lite::Mm2Lite(const genomics::Reference &ref, const Mm2LiteParams &params,
     params_.minimizers = index_->params();
 }
 
-std::vector<Anchor>
+void
 Mm2Lite::collectAnchors(const Read &read)
 {
-    std::vector<Anchor> anchors;
     const u32 k = params_.minimizers.k;
-    auto mins = extractMinimizers(read.seq, params_.minimizers);
+    std::vector<Minimizer> &mins = plan_.minimizers;
+    extractMinimizers(read.seq, params_.minimizers, mins);
     // Resolve each minimizer's occurrence list once, size the anchor
     // vector exactly, then fill it.
-    std::vector<std::span<const MinimizerIndex::Entry>> hits;
-    hits.reserve(mins.size());
+    std::vector<std::span<const MinimizerIndex::Entry>> &hits = plan_.hits;
+    hits.clear();
     std::size_t total = 0;
     for (const auto &m : mins) {
         hits.push_back(index_->lookup(m.hash));
         total += hits.back().size();
     }
+    std::vector<Anchor> &anchors = plan_.anchors;
+    anchors.clear();
     anchors.reserve(total);
     for (std::size_t mi = 0; mi < mins.size(); ++mi) {
         const auto &m = mins[mi];
@@ -86,23 +88,25 @@ Mm2Lite::collectAnchors(const Read &read)
             anchors.push_back(a);
         }
     }
-    return anchors;
 }
 
-std::vector<Chain>
+void
 Mm2Lite::planRead(const Read &read)
 {
-    std::vector<Anchor> anchors;
     {
         util::StageTimers::Scope scope(timers_, stages::kSeeding);
-        anchors = collectAnchors(read);
+        collectAnchors(read);
     }
 
-    std::vector<Chain> chains;
+    std::vector<Chain> &chains = plan_.chains;
+    chains.clear();
     {
         util::StageTimers::Scope scope(timers_, stages::kChaining);
-        std::vector<Anchor> fwd, rev;
-        for (const auto &a : anchors)
+        std::vector<Anchor> &fwd = plan_.fwd;
+        std::vector<Anchor> &rev = plan_.rev;
+        fwd.clear();
+        rev.clear();
+        for (const auto &a : plan_.anchors)
             (a.reverse ? rev : fwd).push_back(a);
         for (auto *side : { &fwd, &rev }) {
             auto part = align::chainAnchors(*side, params_.chain);
@@ -118,42 +122,45 @@ Mm2Lite::planRead(const Read &read)
         if (chains.size() > params_.maxCandidates)
             chains.resize(params_.maxCandidates);
     }
-    return chains;
 }
 
-std::vector<Mapping>
-Mm2Lite::finishRead(std::vector<Mapping> &mappings)
+std::size_t
+Mm2Lite::finishRead(std::span<Mapping> mappings)
 {
     std::sort(mappings.begin(), mappings.end(),
               [](const Mapping &a, const Mapping &b) {
                   return a.score > b.score;
               });
-    // Deduplicate identical positions (multiple chains, same alignment):
-    // hash-set membership keeps the first (best-scoring) occurrence in
-    // O(n) instead of the old quadratic scan over the kept list.
-    std::vector<Mapping> unique;
-    unique.reserve(mappings.size());
-    std::unordered_set<u64> seen;
-    seen.reserve(mappings.size() * 2);
+    // Deduplicate identical positions (multiple chains, same
+    // alignment), keeping the first (best-scoring) occurrence. A read
+    // has at most maxCandidates mappings, so a scan of the kept keys
+    // beats hashing and allocates nothing once warm.
+    std::vector<u64> &seen = plan_.seen;
+    seen.clear();
+    std::size_t kept = 0;
     for (auto &m : mappings) {
         const u64 key = (m.pos << 1) | (m.reverse ? 1u : 0u);
-        if (seen.insert(key).second)
-            unique.push_back(std::move(m));
+        if (std::find(seen.begin(), seen.end(), key) != seen.end())
+            continue;
+        seen.push_back(key);
+        if (&mappings[kept] != &m)
+            mappings[kept] = std::move(m);
+        ++kept;
     }
-    return unique;
+    return kept;
 }
 
 std::vector<Mapping>
 Mm2Lite::mapRead(const Read &read)
 {
-    std::vector<Chain> chains = planRead(read);
+    planRead(read);
 
     std::vector<Mapping> mappings;
     {
         util::StageTimers::Scope scope(timers_, stages::kAlignment);
         DnaSequence rc;
         bool haveRc = false;
-        for (const auto &chain : chains) {
+        for (const auto &chain : plan_.chains) {
             const DnaSequence *query = &read.seq;
             if (chain.reverse) {
                 if (!haveRc) {
@@ -191,7 +198,8 @@ Mm2Lite::mapRead(const Read &read)
         }
     }
 
-    return finishRead(mappings);
+    mappings.resize(finishRead(mappings));
+    return mappings;
 }
 
 Mapping
@@ -217,8 +225,8 @@ Mm2Lite::alignAt(const DnaSequence &read, GlobalPos pos, u32 slack)
 }
 
 PairMapping
-Mm2Lite::pairFromCandidates(const std::vector<Mapping> &cands1,
-                            const std::vector<Mapping> &cands2)
+Mm2Lite::pairFromCandidates(std::span<const Mapping> cands1,
+                            std::span<const Mapping> cands2)
 {
     util::StageTimers::Scope scope(timers_, stages::kPairing);
     PairMapping best;
@@ -270,89 +278,86 @@ void
 Mm2Lite::mapPairsBatch(const ReadPair *const *pairs, std::size_t count,
                        PairMapping *out)
 {
-    // Plan every read of the batch first (seeding + chaining, scalar),
-    // so the alignment phase can hand one flat task list to the
-    // interleaved DP engine. Reads are 2 per pair, plans are indexed
-    // [2 * p + side].
-    struct ReadState
-    {
-        std::vector<Chain> chains;
-        DnaSequence rc; ///< stable storage — FitTasks hold views into it
-        bool haveRc = false;
-        std::vector<Mapping> mappings;
-    };
-    std::vector<ReadState> reads(2 * count);
-    for (std::size_t p = 0; p < count; ++p) {
-        reads[2 * p + 0].chains = planRead(pairs[p]->first);
-        reads[2 * p + 1].chains = planRead(pairs[p]->second);
-    }
-
-    // One FitTask per surviving chain window of every read, in the
-    // exact order the scalar loop would visit them.
+    // Plan every read of the batch (seeding + chaining, scalar) and
+    // stage one FitTask per surviving chain window, in the exact order
+    // the scalar loop would visit them, so the alignment phase hands
+    // one flat task list to the interleaved DP engine. Reads are 2 per
+    // pair, indexed [2 * p + side].
     std::vector<align::FitTask> &tasks = batch_.tasks;
     std::vector<TaskRef> &refs = batch_.refs;
+    std::vector<DnaSequence> &rcs = batch_.rcs;
     tasks.clear();
     refs.clear();
-    {
-        util::StageTimers::Scope scope(timers_, stages::kAlignment);
-        for (std::size_t p = 0; p < count; ++p) {
-            for (u32 side = 0; side < 2; ++side) {
-                ReadState &rs = reads[2 * p + side];
-                const Read &read =
-                    side == 0 ? pairs[p]->first : pairs[p]->second;
-                for (u32 ci = 0; ci < rs.chains.size(); ++ci) {
-                    const Chain &chain = rs.chains[ci];
-                    const DnaSequence *query = &read.seq;
-                    if (chain.reverse) {
-                        if (!rs.haveRc) {
-                            rs.rc = read.seq.revComp();
-                            rs.haveRc = true;
-                        }
-                        query = &rs.rc;
+    if (rcs.size() < 2 * count)
+        rcs.resize(2 * count);
+    for (std::size_t p = 0; p < count; ++p) {
+        for (u32 side = 0; side < 2; ++side) {
+            const u32 r = static_cast<u32>(2 * p + side);
+            const Read &read = side == 0 ? pairs[p]->first : pairs[p]->second;
+            planRead(read);
+            util::StageTimers::Scope scope(timers_, stages::kAlignment);
+            bool haveRc = false;
+            for (const Chain &chain : plan_.chains) {
+                const DnaSequence *query = &read.seq;
+                if (chain.reverse) {
+                    if (!haveRc) {
+                        rcs[r] = read.seq.revComp();
+                        haveRc = true;
                     }
-                    GlobalPos expect =
-                        chain.refStart > chain.queryStart
-                            ? chain.refStart - chain.queryStart
-                            : 0;
-                    auto [wstart, wlen] = clampWindow(
-                        ref_, expect, query->size(), params_.alignSlack);
-                    if (wlen < query->size())
-                        continue;
-                    align::FitTask ft;
-                    ft.query = *query;
-                    ft.target = ref_.windowView(wstart, wlen);
-                    ft.band =
-                        static_cast<i32>(2 * params_.alignSlack + 32);
-                    tasks.push_back(ft);
-                    refs.push_back({ static_cast<u32>(2 * p + side), ci,
-                                     wstart });
+                    query = &rcs[r];
                 }
+                GlobalPos expect = chain.refStart > chain.queryStart
+                                       ? chain.refStart - chain.queryStart
+                                       : 0;
+                auto [wstart, wlen] = clampWindow(
+                    ref_, expect, query->size(), params_.alignSlack);
+                if (wlen < query->size())
+                    continue;
+                align::FitTask ft;
+                ft.query = *query;
+                ft.target = ref_.windowView(wstart, wlen);
+                ft.band = static_cast<i32>(2 * params_.alignSlack + 32);
+                tasks.push_back(ft);
+                refs.push_back({ r, chain.reverse, wstart });
             }
         }
-        runBatchTasks();
+    }
 
-        // Scalar epilogue per task, replayed in visit order.
+    // Tasks are in read order, so the scalar epilogue, replayed in
+    // visit order, leaves each read's mappings in one contiguous group.
+    std::vector<Mapping> &mappings = batch_.mappings;
+    std::vector<u32> &ends = batch_.mappingEnds;
+    mappings.clear();
+    ends.assign(2 * count, 0);
+    {
+        util::StageTimers::Scope scope(timers_, stages::kAlignment);
+        runBatchTasks();
         for (std::size_t t = 0; t < tasks.size(); ++t) {
             align::AlignResult &res = batch_.results[t];
             const TaskRef &tr = refs[t];
-            ReadState &rs = reads[tr.read];
             dpWork_.alignCells += res.cellUpdates;
             if (!res.valid || res.score < params_.minAlignScore)
                 continue;
             Mapping m;
             m.mapped = true;
             m.pos = tr.wstart + res.targetStart;
-            m.reverse = rs.chains[tr.chain].reverse;
+            m.reverse = tr.reverse;
             m.score = res.score;
             m.cigar = std::move(res.cigar);
-            rs.mappings.push_back(std::move(m));
+            mappings.push_back(std::move(m));
+            ++ends[tr.read];
         }
     }
+    std::partial_sum(ends.begin(), ends.end(), ends.begin());
 
     for (std::size_t p = 0; p < count; ++p) {
-        auto cands1 = finishRead(reads[2 * p + 0].mappings);
-        auto cands2 = finishRead(reads[2 * p + 1].mappings);
-        out[p] = pairFromCandidates(cands1, cands2);
+        const u32 begin1 = p == 0 ? 0 : ends[2 * p - 1];
+        const std::span<Mapping> c1(mappings.data() + begin1,
+                                    ends[2 * p] - begin1);
+        const std::span<Mapping> c2(mappings.data() + ends[2 * p],
+                                    ends[2 * p + 1] - ends[2 * p]);
+        out[p] = pairFromCandidates(c1.first(finishRead(c1)),
+                                    c2.first(finishRead(c2)));
     }
 }
 

@@ -13,6 +13,7 @@
 #define GPX_BASELINE_MM2LITE_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "align/affine.hh"
@@ -126,24 +127,29 @@ class Mm2Lite
     const genomics::Reference &reference() const { return ref_; }
 
   private:
-    /** One batched alignment's way back to its read and chain. */
+    /** One batched alignment's way back to its read. */
     struct TaskRef
     {
-        u32 read;  ///< index into the batch's reads
-        u32 chain; ///< index into that read's chain list
+        u32 read;     ///< index into the batch's reads
+        bool reverse; ///< strand of the chain the window came from
         GlobalPos wstart;
     };
 
     /** Run the staged batch_.tasks through fitAlignBatch(). */
     void runBatchTasks();
 
-    std::vector<align::Anchor> collectAnchors(const genomics::Read &read);
-    std::vector<align::Chain> planRead(const genomics::Read &read);
-    std::vector<genomics::Mapping>
-    finishRead(std::vector<genomics::Mapping> &mappings);
+    /** Seed @p read into plan_.anchors. */
+    void collectAnchors(const genomics::Read &read);
+    /** Seed and chain @p read into plan_.chains. */
+    void planRead(const genomics::Read &read);
+    /**
+     * Sort @p mappings by score and move the first mapping of each
+     * position to the front; returns how many that kept.
+     */
+    std::size_t finishRead(std::span<genomics::Mapping> mappings);
     genomics::PairMapping
-    pairFromCandidates(const std::vector<genomics::Mapping> &cands1,
-                       const std::vector<genomics::Mapping> &cands2);
+    pairFromCandidates(std::span<const genomics::Mapping> cands1,
+                       std::span<const genomics::Mapping> cands2);
 
     const genomics::Reference &ref_;
     Mm2LiteParams params_;
@@ -168,7 +174,28 @@ class Mm2Lite
         std::vector<align::AlignResult> results;
         std::vector<TaskRef> refs;      ///< mapPairsBatch: 1:1 with tasks
         std::vector<GlobalPos> wstarts; ///< alignAtBatch: 1:1 with tasks
+        /** mapPairsBatch: read r's reverse complement (FitTasks view it). */
+        std::vector<genomics::DnaSequence> rcs;
+        /** mapPairsBatch: every read's mappings, grouped by read. */
+        std::vector<genomics::Mapping> mappings;
+        /** mapPairsBatch: end of read r's group in mappings. */
+        std::vector<u32> mappingEnds;
     } batch_;
+    /**
+     * Per-read staging of seeding, chaining and deduplication, cleared
+     * per read with its capacity kept: planning a warm engine's reads
+     * allocates nothing here.
+     */
+    struct
+    {
+        std::vector<Minimizer> minimizers;
+        std::vector<std::span<const MinimizerIndex::Entry>> hits;
+        std::vector<align::Anchor> anchors;
+        std::vector<align::Anchor> fwd; ///< anchors split by strand
+        std::vector<align::Anchor> rev;
+        std::vector<align::Chain> chains; ///< planRead's output
+        std::vector<u64> seen; ///< finishRead's kept (pos, strand) keys
+    } plan_;
 };
 
 } // namespace baseline

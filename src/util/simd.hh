@@ -76,13 +76,17 @@ const std::string &simdBackendReason();
  */
 SimdBackend forceSimdBackend(SimdBackend backend);
 
-/** DP lanes interleaved per band sweep under @p b (1 / 8 / 16). */
-inline u32
+/**
+ * DP lanes interleaved per band sweep under @p b (1 / 16 / 32): the
+ * interleaved fill keeps i16 scores, 16 per 256-bit register and 32
+ * per 512-bit register.
+ */
+constexpr u32
 simdDpLanes(SimdBackend b)
 {
     switch (b) {
-    case SimdBackend::Avx512: return 16;
-    case SimdBackend::Avx2: return 8;
+    case SimdBackend::Avx512: return 32;
+    case SimdBackend::Avx2: return 16;
     case SimdBackend::Scalar: break;
     }
     return 1;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -93,8 +94,8 @@ TEST(Simd, BackendNamesAndClamping)
     util::forceSimdBackend(prev);
 
     EXPECT_EQ(util::simdDpLanes(SimdBackend::Scalar), 1u);
-    EXPECT_EQ(util::simdDpLanes(SimdBackend::Avx2), 8u);
-    EXPECT_EQ(util::simdDpLanes(SimdBackend::Avx512), 16u);
+    EXPECT_EQ(util::simdDpLanes(SimdBackend::Avx2), 16u);
+    EXPECT_EQ(util::simdDpLanes(SimdBackend::Avx512), 32u);
     EXPECT_EQ(util::simdMaskLanes(SimdBackend::Scalar), 1u);
     EXPECT_EQ(util::simdMaskLanes(SimdBackend::Avx2), 4u);
     EXPECT_EQ(util::simdMaskLanes(SimdBackend::Avx512), 8u);
@@ -175,13 +176,43 @@ TEST(Simd, ShdBatchMatchesScalarMasks)
     });
 }
 
+/**
+ * Run @p tasks through fitAlignBatch under the active backend, expect
+ * every result to equal fitAlign's field for field, and return the
+ * sweeps' lane fill. @p bscr may carry stale state from earlier calls.
+ */
+align::LaneFill
+expectBatchMatchesScalar(const std::vector<align::FitTask> &tasks,
+                         const genomics::ScoringScheme &sc,
+                         align::BatchAlignScratch &bscr)
+{
+    align::AlignScratch sscr;
+    std::vector<align::AlignResult> got(tasks.size());
+    const align::LaneFill fill = align::fitAlignBatch(
+        tasks.data(), tasks.size(), sc, bscr, got.data());
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+        const align::AlignResult want = align::fitAlign(
+            tasks[k].query, tasks[k].target, sc, tasks[k].band, sscr);
+        SCOPED_TRACE("k=" + std::to_string(k) +
+                     " m=" + std::to_string(tasks[k].query.size()) +
+                     " n=" + std::to_string(tasks[k].target.size()) +
+                     " band=" + std::to_string(tasks[k].band));
+        EXPECT_EQ(want.valid, got[k].valid);
+        EXPECT_EQ(want.score, got[k].score);
+        EXPECT_EQ(want.targetStart, got[k].targetStart);
+        EXPECT_EQ(want.targetEnd, got[k].targetEnd);
+        EXPECT_EQ(want.cellUpdates, got[k].cellUpdates);
+        EXPECT_EQ(want.cigar.toString(), got[k].cigar.toString());
+    }
+    return fill;
+}
+
 TEST(Simd, FitAlignBatchMatchesScalar)
 {
     const genomics::ScoringScheme sc = genomics::ScoringScheme::shortRead();
     forEachBackend([&sc] {
         util::Pcg32 rng(9113);
         align::BatchAlignScratch bscr;
-        align::AlignScratch sscr;
         for (int iter = 0; iter < 50; ++iter) {
             const std::size_t count = 1 + rng.below(25);
             std::vector<DnaSequence> qs, ts;
@@ -230,23 +261,9 @@ TEST(Simd, FitAlignBatchMatchesScalar)
                     ft.band = 128;
                 tasks.push_back(ft);
             }
-            std::vector<align::AlignResult> got(count);
-            align::fitAlignBatch(tasks.data(), count, sc, bscr, got.data());
-            for (std::size_t k = 0; k < count; ++k) {
-                const align::AlignResult want = align::fitAlign(
-                    tasks[k].query, tasks[k].target, sc, tasks[k].band, sscr);
-                SCOPED_TRACE("iter=" + std::to_string(iter) +
-                             " k=" + std::to_string(k) +
-                             " m=" + std::to_string(tasks[k].query.size()) +
-                             " n=" + std::to_string(tasks[k].target.size()) +
-                             " band=" + std::to_string(tasks[k].band));
-                ASSERT_EQ(want.valid, got[k].valid);
-                ASSERT_EQ(want.score, got[k].score);
-                ASSERT_EQ(want.targetStart, got[k].targetStart);
-                ASSERT_EQ(want.targetEnd, got[k].targetEnd);
-                ASSERT_EQ(want.cellUpdates, got[k].cellUpdates);
-                ASSERT_EQ(want.cigar.toString(), got[k].cigar.toString());
-            }
+            SCOPED_TRACE("iter=" + std::to_string(iter));
+            expectBatchMatchesScalar(tasks, sc, bscr);
+            ASSERT_FALSE(::testing::Test::HasFailure());
         }
     });
 }
@@ -279,6 +296,215 @@ TEST(Simd, FitAlignBatchCountsLaneFill)
         EXPECT_EQ(fill.lanesUsed, 20u);
         EXPECT_EQ(fill.laneGroups,
                   (7 + lanes - 1) / lanes + (13 + lanes - 1) / lanes);
+    });
+}
+
+/**
+ * The documented i16 lane bound (affine_simd.cc, fitsI16Lanes): a group
+ * of query length m and widest target nMax runs in i16 lanes iff
+ * (m + nMax) * s + m * match < 2^14, s = max(mismatch, q1+e1, q2+e2).
+ * Returns the widest target a group of query length @p m may have.
+ */
+i64
+widestTargetInside(std::size_t m, const genomics::ScoringScheme &sc)
+{
+    const i64 s = std::max({ sc.mismatch, sc.gapOpen1 + sc.gapExtend1,
+                             sc.gapOpen2 + sc.gapExtend2 });
+    const i64 room = (i64{ 1 } << 14) - 1 - static_cast<i64>(m) * sc.match;
+    return room / s - static_cast<i64>(m);
+}
+
+/**
+ * Sweeps fitAlignBatch runs for one length-uniform group of @p tasks:
+ * full-width i16 sweeps inside the bound, half-width i32 sweeps
+ * outside it, one per task on the scalar backend.
+ */
+u64
+groupsFor(std::size_t tasks, bool inside)
+{
+    const u64 lanes = util::simdDpLanes(util::activeSimdBackend());
+    const u64 width = inside || lanes == 1 ? lanes : lanes / 2;
+    return (tasks + width - 1) / width;
+}
+
+/** Query @p q mutated by an @p del-base deletion and an insertion. */
+DnaSequence
+withLongGaps(util::Pcg32 &rng, const DnaSequence &q, u64 del, u64 ins)
+{
+    std::string body;
+    const u64 cut = q.size() / 3, put = 2 * q.size() / 3;
+    for (u64 i = 0; i < q.size(); ++i) {
+        if (i >= cut && i < cut + del)
+            continue;
+        if (i == put)
+            for (u64 k = 0; k < ins; ++k)
+                body.push_back(genomics::baseToChar(rng.below(4)));
+        body.push_back(genomics::baseToChar(q.at(i)));
+    }
+    return DnaSequence(body);
+}
+
+TEST(Simd, FitAlignBatchI16BoundEdges)
+{
+    // Groups whose widest target sits exactly on the bound run in i16
+    // lanes; one base wider sends the group to half-width i32 lanes.
+    // Both must match fitAlign lane for lane, under the sr
+    // scheme and under schemes that make the bound's step s large
+    // (maximum mismatch, long two-piece gaps).
+    std::vector<genomics::ScoringScheme> schemes(4);
+    schemes[1].mismatch = 120;                    // mismatch dominates s
+    schemes[2].gapOpen2 = 90;                     // long second piece
+    schemes[2].gapExtend2 = 1;
+    schemes[3] = { 5, 4, 30, 3, 200, 0 };         // free gap extension
+    forEachBackend([&schemes] {
+        util::Pcg32 rng(6007);
+        align::BatchAlignScratch bscr;
+        for (const auto &sc : schemes) {
+            for (std::size_t m : { 24u, 60u, 150u }) {
+                if (widestTargetInside(m, sc) < static_cast<i64>(m))
+                    continue; // no window fits this read under sc
+                const auto nIn =
+                    static_cast<std::size_t>(widestTargetInside(m, sc));
+                for (const bool inside : { true, false }) {
+                    const std::size_t nMax = inside ? nIn : nIn + 1;
+                    SCOPED_TRACE("mismatch=" + std::to_string(sc.mismatch) +
+                                 " q2=" + std::to_string(sc.gapOpen2) +
+                                 " m=" + std::to_string(m) +
+                                 " nMax=" + std::to_string(nMax));
+                    std::vector<DnaSequence> qs, ts;
+                    for (int k = 0; k < 21; ++k) {
+                        qs.push_back(randomSeq(rng, m));
+                        // Every 16th task carries the widest target,
+                        // so each lane group at any width has one;
+                        // the rest are narrower and mostly related.
+                        const u64 n = k % 16 == 0
+                                          ? nMax
+                                          : m + rng.below(nMax - m + 1);
+                        if (k % 3 == 0) {
+                            ts.push_back(randomSeq(rng, n));
+                        } else {
+                            DnaSequence g = withLongGaps(
+                                rng, qs.back(), rng.below(m / 4),
+                                rng.below(m / 4));
+                            std::string t = g.toString();
+                            while (t.size() < n)
+                                t.push_back(genomics::baseToChar(rng.below(4)));
+                            t.resize(n);
+                            ts.push_back(DnaSequence(t));
+                        }
+                    }
+                    std::vector<align::FitTask> tasks;
+                    for (std::size_t k = 0; k < qs.size(); ++k)
+                        tasks.push_back({ qs[k], ts[k],
+                                          k % 2 ? -1 : static_cast<i32>(
+                                                           8 + rng.below(m)) });
+                    const align::LaneFill fill =
+                        expectBatchMatchesScalar(tasks, sc, bscr);
+                    EXPECT_EQ(fill.lanesUsed, tasks.size());
+                    EXPECT_EQ(fill.laneGroups, groupsFor(tasks.size(), inside));
+                }
+            }
+        }
+    });
+}
+
+TEST(Simd, FitAlignBatchAllMismatchTargets)
+{
+    // Every cell mismatches, so the best path is all gaps and
+    // mismatches and scores sit as low as a full-length group allows;
+    // the banded lanes also leave many cells unreachable.
+    genomics::ScoringScheme maxMismatch;
+    maxMismatch.mismatch = 40;
+    genomics::ScoringScheme cheapGaps;
+    cheapGaps.gapOpen1 = 2;
+    cheapGaps.gapExtend1 = 1;
+    cheapGaps.gapOpen2 = 3;
+    cheapGaps.gapExtend2 = 1;
+    for (const auto &sc :
+         { genomics::ScoringScheme::shortRead(), maxMismatch, cheapGaps }) {
+        forEachBackend([&sc] {
+            const std::size_t m = 100;
+            ASSERT_GE(widestTargetInside(m, sc), static_cast<i64>(m));
+            const auto nMax =
+                static_cast<std::size_t>(widestTargetInside(m, sc));
+            const DnaSequence q(std::string(m, 'A'));
+            std::vector<DnaSequence> ts;
+            for (std::size_t n : { m, (m + nMax) / 2, nMax, std::size_t{ 1 } })
+                ts.push_back(DnaSequence(std::string(n, 'C')));
+            std::vector<align::FitTask> tasks;
+            for (const auto &t : ts)
+                for (i32 band : { -1, 0, 3, 64 })
+                    tasks.push_back({ q, t, band });
+            align::BatchAlignScratch bscr;
+            const align::LaneFill fill =
+                expectBatchMatchesScalar(tasks, sc, bscr);
+            EXPECT_EQ(fill.laneGroups, groupsFor(tasks.size(), true));
+        });
+    }
+}
+
+TEST(Simd, FitAlignBatchRoutesScoresBeyondI16)
+{
+    // Under this scheme every gap costs over 21,000, so an
+    // all-mismatch 24 x 60 alignment scores -24,000, below the i16
+    // sentinel, and its gap candidates leave the i16 range: only the
+    // bound's i32 route keeps such a group exact.
+    const genomics::ScoringScheme sc{ 2, 1000, 20000, 1000, 20000, 1000 };
+    forEachBackend([&sc] {
+        const DnaSequence q(std::string(24, 'A'));
+        const DnaSequence t(std::string(60, 'C'));
+        const DnaSequence u(std::string(60, 'A'));
+        align::AlignScratch sscr;
+        ASSERT_EQ(align::fitAlign(q, t, sc, -1, sscr).score, -24000);
+        std::vector<align::FitTask> tasks;
+        for (i32 band : { -1, 2, 40 }) {
+            tasks.push_back({ q, t, band });
+            tasks.push_back({ q, u, band });
+        }
+        align::BatchAlignScratch bscr;
+        const align::LaneFill fill =
+            expectBatchMatchesScalar(tasks, sc, bscr);
+        EXPECT_EQ(fill.laneGroups, groupsFor(tasks.size(), false));
+    });
+}
+
+TEST(Simd, FitAlignBatchMixesI16AndI32Groups)
+{
+    // i16 groups and groups routed to i32 lanes interleave in one
+    // batch: results stay exact, and each i32 sweep counts one lane
+    // group carrying at most half the i16 width.
+    const genomics::ScoringScheme sc = genomics::ScoringScheme::shortRead();
+    forEachBackend([&sc] {
+        util::Pcg32 rng(8128);
+        std::vector<DnaSequence> qs, ts;
+        const std::size_t lens[] = { 80, 200, 80, 120 };
+        const std::size_t sizes[] = { 37, 5, 9, 20 };
+        const bool inside[] = { true, false, true, false };
+        for (int g = 0; g < 4; ++g) {
+            const std::size_t m = lens[g];
+            const auto nIn =
+                static_cast<std::size_t>(widestTargetInside(m, sc));
+            for (std::size_t k = 0; k < sizes[g]; ++k) {
+                qs.push_back(randomSeq(rng, m));
+                // An outside lane group needs one over-wide target;
+                // k % 16 == 2 puts one in every group at any width.
+                const std::size_t n =
+                    !inside[g] && k % 16 == 2 ? nIn + 1 + rng.below(40)
+                                              : m + rng.below(nIn - m + 1);
+                ts.push_back(randomSeq(rng, n));
+            }
+        }
+        std::vector<align::FitTask> tasks;
+        for (std::size_t k = 0; k < qs.size(); ++k)
+            tasks.push_back({ qs[k], ts[k], rng.below(2) ? -1 : 100 });
+        align::BatchAlignScratch bscr;
+        const align::LaneFill fill =
+            expectBatchMatchesScalar(tasks, sc, bscr);
+        u64 groups = 0;
+        for (int g = 0; g < 4; ++g)
+            groups += groupsFor(sizes[g], inside[g]);
+        EXPECT_EQ(fill.lanesUsed, tasks.size());
+        EXPECT_EQ(fill.laneGroups, groups);
     });
 }
 
