@@ -9,7 +9,7 @@
  * are identical either way, which is what keeps the batch results
  * bit-identical to the oracles.
  *
- * Not installed as public API; include only from align/*.cc.
+ * Not installed as public API; include only from the align sources.
  */
 
 #ifndef GPX_ALIGN_AFFINE_INTERNAL_HH

@@ -113,7 +113,7 @@ void shiftedMasksInto(const BitPlanes &read_planes,
  * shiftedMasksInto() mask (lanes never mix), pinned by
  * tests/test_simd.cc.
  *
- * Buffers are owned by the caller's scratch (LightAlignScratch embeds
+ * Buffers are owned by the caller's scratch (LightBatchScratch embeds
  * one) and reused across runs; warm runs are allocation-free.
  */
 struct ShdBatch

@@ -61,6 +61,9 @@ ParallelMapper::mapAll(const std::vector<genomics::ReadPair> &pairs)
     if (config_.recordTrace)
         result.trace.resize(pairs.size());
 
+    // The stats reset / job / stats merge sequence touches every
+    // worker context; one caller at a time may own it.
+    std::lock_guard<std::mutex> lock(mapMu_);
     engine_->forEachContext([](WorkerContext &ctx) {
         static_cast<PairWorkerContext &>(ctx).pipeline.resetStats();
     });
@@ -89,15 +92,6 @@ ParallelMapper::mapAll(const std::vector<genomics::ReadPair> &pairs)
             static_cast<PairWorkerContext &>(ctx).pipeline.stats();
     });
     return result;
-}
-
-DriverResult
-ParallelMapper::mapAllShared(const std::vector<genomics::ReadPair> &pairs)
-{
-    // The stats reset / engine run / stats merge sequence in mapAll()
-    // touches every worker context; one submitter at a time may own it.
-    std::lock_guard<std::mutex> lock(mapMu_);
-    return mapAll(pairs);
 }
 
 } // namespace genpair

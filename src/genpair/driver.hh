@@ -79,8 +79,10 @@ struct DriverResult
 
 /**
  * Parallel paired-end mapping over a shared index, backed by the
- * persistent MapperEngine pool. Not itself thread-safe: one mapAll()
- * at a time (the workers inside it are the parallelism).
+ * persistent MapperEngine pool. mapAll() is thread-safe: concurrent
+ * callers (gpx_serve connection handlers, streaming chunks) queue in
+ * arrival order, each owning the pool for its whole batch — the
+ * workers inside a call are the parallelism.
  */
 class ParallelMapper
 {
@@ -93,18 +95,13 @@ class ParallelMapper
     ParallelMapper(const genomics::Reference &ref,
                    const SeedMapView &map, const DriverConfig &config);
 
-    /** Map all pairs; mappings[i] corresponds to pairs[i]. */
-    DriverResult mapAll(const std::vector<genomics::ReadPair> &pairs);
-
     /**
-     * Thread-safe form of mapAll() for foreign-thread submission
-     * (gpx_serve connection handlers): concurrent callers are
-     * serialized in arrival order, each call owning the worker pool —
-     * and the per-worker stats accumulators — for its whole batch.
-     * Results are bit-identical to mapAll() from the owning thread.
+     * Map all pairs; mappings[i] corresponds to pairs[i]. Callable
+     * from any thread: concurrent calls are serialized, and each
+     * result (mappings, stats, timing of its own pool occupancy) is
+     * the one the call would get alone.
      */
-    DriverResult
-    mapAllShared(const std::vector<genomics::ReadPair> &pairs);
+    DriverResult mapAll(const std::vector<genomics::ReadPair> &pairs);
 
     u32 threads() const { return engine_->threads(); }
 
@@ -114,7 +111,7 @@ class ParallelMapper
     DriverConfig config_;
     /** Workers capture config_.fallbackIndex; one pool. */
     std::unique_ptr<MapperEngine> engine_;
-    /** Serializes mapAllShared() callers around the pool + stats. */
+    /** Serializes mapAll() callers around the pool + stats. */
     std::mutex mapMu_;
 };
 

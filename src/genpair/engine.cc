@@ -42,7 +42,7 @@ MapperEngine::MapperEngine(u32 threads, ContextFactory factory,
             [this, t, factory]() { workerLoop(t, factory); });
     // Context construction is a pool start-up cost, not a mapping
     // cost: don't return until every worker has built its context, so
-    // the first run()'s stopwatch measures mapping only.
+    // the first job's stopwatch measures mapping only.
     std::unique_lock<std::mutex> lock(mu_);
     jobDone_.wait(lock, [&] { return workersReady_ == threads_; });
 }
@@ -117,8 +117,9 @@ MapperEngine::grainAt(u64 begin, u64 items) const
 }
 
 RunTiming
-MapperEngine::run(u64 items, const BlockFn &fn)
+MapperEngine::submit(u64 items, const BlockFn &fn)
 {
+    std::lock_guard<std::mutex> submitLock(submitMu_);
     util::Stopwatch watch;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -134,13 +135,6 @@ MapperEngine::run(u64 items, const BlockFn &fn)
         jobDone_.wait(lock, [&] { return workersLeft_ == 0; });
     }
     return RunTiming::of(items, watch.seconds());
-}
-
-RunTiming
-MapperEngine::submit(u64 items, const BlockFn &fn)
-{
-    std::lock_guard<std::mutex> lock(submitMu_);
-    return run(items, fn);
 }
 
 void

@@ -69,7 +69,7 @@ struct RunTiming
 /**
  * Base class of a driver's per-worker state (mapping engines, gates,
  * scratch). Built once per worker at pool start-up and reused across
- * every run() call.
+ * every submit() call.
  */
 class WorkerContext
 {
@@ -78,9 +78,8 @@ class WorkerContext
 };
 
 /**
- * The persistent worker pool + block cursor. Not itself thread-safe:
- * one run() at a time (the workers inside it are the parallelism).
- * forEachContext() must only be called while no run() is in flight.
+ * The persistent worker pool + block cursor. submit() is thread-safe;
+ * forEachContext() must only be called while no job is in flight.
  */
 class MapperEngine
 {
@@ -115,18 +114,14 @@ class MapperEngine
      * timing. Blocks are claimed off a shared atomic cursor; every item
      * is processed exactly once. The block partition depends only on
      * @p items, threads() and blockItems(), never on scheduling.
-     */
-    RunTiming run(u64 items, const BlockFn &fn);
-
-    /**
-     * Thread-safe job submission: like run(), but callable from any
-     * thread, concurrently. Concurrent submitters are serialized in
-     * arrival order (one job owns the whole pool at a time — the
-     * workers inside a job are the parallelism), which is exactly the
-     * admission discipline a resident server wants: a request's batch
-     * runs on every core, requests queue behind each other. The
-     * returned timing covers only this job's pool occupancy, not the
-     * time spent waiting behind other submitters.
+     *
+     * Callable from any thread, concurrently: submitters are
+     * serialized in arrival order (one job owns the whole pool at a
+     * time — the workers inside a job are the parallelism), which is
+     * exactly the admission discipline a resident server wants: a
+     * request's batch runs on every core, requests queue behind each
+     * other. The returned timing covers only this job's pool
+     * occupancy, not the time spent waiting behind other submitters.
      */
     RunTiming submit(u64 items, const BlockFn &fn);
 
@@ -151,10 +146,10 @@ class MapperEngine
     u32 threads_;
     u64 blockItems_;
 
-    /** Serializes submit() callers; run() callers never take it. */
+    /** Serializes submit() callers. */
     std::mutex submitMu_;
 
-    // Job hand-off: run() publishes the job under mu_, bumps jobSeq_
+    // Job hand-off: submit() publishes the job under mu_, bumps jobSeq_
     // and wakes the pool; workers race the shared cursor and the last
     // one out signals completion.
     std::mutex mu_;

@@ -140,17 +140,19 @@ LightAligner::alignWindow(const DnaView &read, const DnaView &window,
 
 namespace {
 
-/** Window extent check shared by both align() forms. */
+/**
+ * Window extent check shared by every alignment form: the window of a
+ * read of @p n bases must cover [candidate-e, candidate+n+e) inside one
+ * chromosome; otherwise the pair falls back to DP.
+ */
 inline bool
-windowFor(const genomics::Reference &ref, const DnaView &read,
-          GlobalPos candidate, u32 e, GlobalPos *wstart, u64 *wlen)
+windowFor(const genomics::Reference &ref, u64 n, GlobalPos candidate,
+          u32 e, GlobalPos *wstart, u64 *wlen)
 {
-    // The window must cover [candidate-e, candidate+n+e) inside one
-    // chromosome; otherwise the pair falls back to DP.
     if (candidate < e)
         return false;
     *wstart = candidate - e;
-    *wlen = static_cast<u64>(read.size()) + 2 * e;
+    *wlen = n + 2 * e;
     return ref.windowValid(*wstart, *wlen);
 }
 
@@ -162,7 +164,7 @@ LightAligner::align(const DnaView &read, GlobalPos candidate) const
     const u32 e = params_.maxShift;
     GlobalPos wstart = 0;
     u64 wlen = 0;
-    if (!windowFor(ref_, read, candidate, e, &wstart, &wlen))
+    if (!windowFor(ref_, read.size(), candidate, e, &wstart, &wlen))
         return {};
 
     DnaView window = ref_.windowView(wstart, wlen);
@@ -181,13 +183,7 @@ LightAligner::alignPlanes(const align::BitPlanes &read,
     const u32 n = read.bits();
     GlobalPos wstart = 0;
     u64 wlen = 0;
-    // windowFor only consumes the read length; a zero-length view
-    // stands in for the original DnaView.
-    if (candidate < e)
-        return {};
-    wstart = candidate - e;
-    wlen = static_cast<u64>(n) + 2 * e;
-    if (!ref_.windowValid(wstart, wlen))
+    if (!windowFor(ref_, n, candidate, e, &wstart, &wlen))
         return {};
 
     scratch.window.assign(ref_.windowView(wstart, wlen));
@@ -207,17 +203,6 @@ LightAligner::alignPlanes(const align::BitPlanes &read,
     if (res.aligned)
         res.pos = wstart + res.pos; // window-relative -> global
     return res;
-}
-
-LightResult
-LightAligner::align(const DnaView &read, GlobalPos candidate,
-                    LightAlignScratch &scratch) const
-{
-    if (!scratch.readValid) {
-        scratch.read.assign(read);
-        scratch.readValid = true;
-    }
-    return alignPlanes(scratch.read, candidate, scratch);
 }
 
 void
@@ -253,14 +238,11 @@ LightAligner::alignBatch(const LightBatchItem *items, std::size_t count,
         u32 lanes = 0;
         GlobalPos wstarts[16];
         std::size_t laneItem[16];
+        u64 wlen = 0;
         for (std::size_t k = i; k < g; ++k) {
             out[k] = {};
-            const GlobalPos candidate = items[k].candidate;
-            if (candidate < e)
-                continue;
-            const GlobalPos wstart = candidate - e;
-            const u64 wlen = static_cast<u64>(n) + 2 * e;
-            if (!ref_.windowValid(wstart, wlen))
+            GlobalPos wstart = 0;
+            if (!windowFor(ref_, n, items[k].candidate, e, &wstart, &wlen))
                 continue;
             wstarts[lanes] = wstart;
             laneItem[lanes] = k;
@@ -269,8 +251,8 @@ LightAligner::alignBatch(const LightBatchItem *items, std::size_t count,
         if (lanes > 0) {
             scratch.shd.begin(lanes, n, e, e);
             for (u32 l = 0; l < lanes; ++l) {
-                scratch.windows[l].assign(ref_.windowView(
-                    wstarts[l], static_cast<u64>(n) + 2 * e));
+                scratch.windows[l].assign(
+                    ref_.windowView(wstarts[l], wlen));
                 scratch.shd.setLane(l, *items[laneItem[l]].read,
                                     scratch.windows[l]);
             }

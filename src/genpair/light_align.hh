@@ -74,7 +74,15 @@ struct LightResult
  * paper SS8 combination point: a cheap pre-alignment filter such as
  * SneakySnake drops hopeless candidates before any hypothesis is
  * evaluated). Implementations live outside genpair (see
- * filters::SneakyGate); the pipeline only sees this interface.
+ * filters::FilterGate); the pipeline only sees this interface.
+ *
+ * Call order: the light-align stage runs inside its batched sweeps, so
+ * for one batch it asks about every budgeted left side first (pair by
+ * pair, orientation by orientation, in candidate order) and then about
+ * the right side of each left that aligned, in the same order. A
+ * verdict must therefore be a pure function of (read, candidate):
+ * never of earlier calls. Counting calls is fine, since every run
+ * makes the same set of them.
  */
 class LightAlignGate
 {
@@ -87,25 +95,18 @@ class LightAlignGate
 };
 
 /**
- * Reusable scratch for repeated light alignments. The batched
- * LightAlignStage attempts ~11.6 alignments per pair (paper §7.2), each
- * needing bit planes for read and window plus 2e+1 Hamming masks;
- * without scratch every attempt pays ~17 heap allocations. The read's
- * planes are additionally cached across the candidates of one pair
- * side: call invalidateRead() whenever the read changes.
+ * Reusable scratch of the scalar light-alignment datapath (the
+ * SimdBackend::Scalar form of alignBatch()): window planes, the 2e+1
+ * Hamming masks and their statistics, so a warm attempt allocates
+ * nothing. The read's planes come prebuilt with each batch item.
  */
 struct LightAlignScratch
 {
-    align::BitPlanes read;
     align::BitPlanes window;
     std::vector<align::HammingMask> masks;
     std::vector<u32> popcount;
     std::vector<u32> prefix;
     std::vector<u32> suffix;
-    bool readValid = false;
-
-    /** Mark the cached read planes stale (the read changed). */
-    void invalidateRead() { readValid = false; }
 };
 
 /**
@@ -151,14 +152,6 @@ class LightAligner
      */
     LightResult align(const genomics::DnaView &read,
                       GlobalPos candidate) const;
-
-    /**
-     * Scratch-reusing form of align(): bit-identical result, no heap
-     * allocation once @p scratch is warm. @p scratch must have been
-     * invalidated (or used with the same read) since the read changed.
-     */
-    LightResult align(const genomics::DnaView &read, GlobalPos candidate,
-                      LightAlignScratch &scratch) const;
 
     /**
      * SIMD-across-batch form: evaluate @p count candidates, computing

@@ -200,7 +200,7 @@ LongReadDriver::mapAll(const std::vector<genomics::Read> &reads)
 
     const genomics::Read *in = reads.data();
     genomics::Mapping *out = result.mappings.data();
-    result.timing = engine_->run(
+    result.timing = engine_->submit(
         reads.size(), [&](WorkerContext &wc, u64 begin, u64 end) {
             auto &ctx = static_cast<LongReadWorkerContext &>(wc);
             for (u64 i = begin; i < end; ++i)

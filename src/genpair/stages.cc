@@ -215,137 +215,104 @@ runPaFilterStage(const StageContext &ctx, PairBatch &batch)
 namespace {
 
 /**
- * The gated light-alignment path: per-candidate scalar loop, exactly
- * the pre-batching behavior. Gates may be stateful (SneakySnake keeps
- * per-read state and its own counters), so admission order must stay
- * candidate-by-candidate; the SIMD batch path below only runs when no
- * gate is installed.
+ * Read planes of one pair side ([2*i+o] of the left or right lanes),
+ * built on first use and shared by every candidate of that side.
+ */
+inline const align::BitPlanes &
+sidePlanes(PairBatch &batch, u64 i, u32 o, bool right)
+{
+    align::BitPlanes &planes =
+        (right ? batch.lightRight : batch.lightLeft)[2 * i + o];
+    u8 &valid =
+        (right ? batch.lightRightValid : batch.lightLeftValid)[2 * i + o];
+    if (!valid) {
+        const OrientRefs refs = orientation(batch, i, o);
+        planes.assign(right ? *refs.right : *refs.left);
+        valid = 1;
+    }
+    return planes;
+}
+
+/** The gate's verdict on one side (no gate admits all); counts rejects. */
+inline bool
+admitted(const StageContext &ctx, const DnaSequence &read, GlobalPos start)
+{
+    if (!ctx.gate || ctx.gate->admit(read, start))
+        return true;
+    ++ctx.stats.gateRejected;
+    return false;
+}
+
+/** Outcome of one pair's selection replay. */
+struct Replay
+{
+    std::size_t best = SIZE_MAX; ///< winning sweep candidate, if any
+    u32 sides = 0; ///< sides aligned: staged lefts + slotted rights
+};
+
+/**
+ * Selection replay of one pair over a phased sweep: walks the pair's
+ * candidates from @p t (left past them on return) in visit order and
+ * picks the first best-scoring one whose right side was aligned and
+ * passes @p ok.
+ */
+template <typename Result, typename Ok>
+Replay
+replayPair(const std::vector<CandidateRef> &cands,
+           const std::vector<std::size_t> &rightSlot, const Result *left,
+           const Result *right, u64 pair, std::size_t &t, Ok ok)
+{
+    Replay out;
+    i64 bestScore = 0;
+    for (; t < cands.size() && cands[t].pair == pair; ++t) {
+        ++out.sides;
+        if (rightSlot[t] == SIZE_MAX)
+            continue;
+        ++out.sides;
+        const Result &r = right[rightSlot[t]];
+        if (!ok(r))
+            continue;
+        const i64 score = static_cast<i64>(left[t].score) + r.score;
+        if (out.best == SIZE_MAX || score > bestScore) {
+            out.best = t;
+            bestScore = score;
+        }
+    }
+    return out;
+}
+
+/**
+ * A pair's mapping from the left/right winners of one orientation: the
+ * left maps forward, the right reverse-complemented, and orientation B
+ * (read 2 on the left) swaps them back into read order.
  */
 void
-runLightAlignStageGated(const StageContext &ctx, PairBatch &batch,
-                        StageCounters &sc)
+placePair(PairMapping &pm, MappingPath path, Mapping left, Mapping right,
+          bool read1IsLeft)
 {
-    for (u64 i = 0; i < batch.size; ++i) {
-        if (batch.route[i] != PairRoute::Pending)
-            continue;
-        ++sc.itemsIn;
-        const u64 alignsBefore = ctx.stats.lightAlignsAttempted;
-
-        struct Best
-        {
-            bool found = false;
-            i64 score = 0;
-            LightResult left;
-            LightResult right;
-            bool read1IsLeft = true;
-        } best;
-
-        for (u32 o = 0; o < 2; ++o) {
-            const OrientRefs refs = orientation(batch, i, o);
-            // The read changed: drop the cached bit planes.
-            batch.scratchLeft.invalidateRead();
-            batch.scratchRight.invalidateRead();
-            u32 budget = ctx.params.maxCandidatePairs;
-            const u64 begin = batch.pairOffsets[2 * i + o];
-            const u64 end = batch.pairOffsets[2 * i + o + 1];
-            for (u64 c = begin; c < end; ++c) {
-                if (budget-- == 0)
-                    break;
-                const CandidatePair &cand = batch.candidatePairs[c];
-                if (ctx.gate &&
-                    !ctx.gate->admit(*refs.left, cand.leftStart)) {
-                    ++ctx.stats.gateRejected;
-                    continue;
-                }
-                LightResult la = ctx.light.align(
-                    *refs.left, cand.leftStart, batch.scratchLeft);
-                ++ctx.stats.lightAlignsAttempted;
-                ctx.stats.lightHypotheses += la.hypothesesTried;
-                if (!la.aligned)
-                    continue;
-                if (ctx.gate &&
-                    !ctx.gate->admit(*refs.right, cand.rightStart)) {
-                    ++ctx.stats.gateRejected;
-                    continue;
-                }
-                LightResult ra = ctx.light.align(
-                    *refs.right, cand.rightStart, batch.scratchRight);
-                ++ctx.stats.lightAlignsAttempted;
-                ctx.stats.lightHypotheses += ra.hypothesesTried;
-                if (!ra.aligned)
-                    continue;
-                i64 score = static_cast<i64>(la.score) + ra.score;
-                if (!best.found || score > best.score) {
-                    best.found = true;
-                    best.score = score;
-                    best.left = la;
-                    best.right = ra;
-                    best.read1IsLeft = refs.read1IsLeft;
-                }
-            }
-        }
-
-        if (batch.trace)
-            batch.trace[i].lightAligns = static_cast<u32>(
-                ctx.stats.lightAlignsAttempted - alignsBefore);
-
-        if (best.found) {
-            ++ctx.stats.lightAligned;
-            ++sc.itemsOut;
-            batch.route[i] = PairRoute::LightAligned;
-            PairMapping &pm = batch.out[i];
-            pm = {};
-            pm.path = MappingPath::LightAligned;
-            Mapping leftMap, rightMap;
-            leftMap.mapped = true;
-            leftMap.pos = best.left.pos;
-            leftMap.score = best.left.score;
-            leftMap.cigar = best.left.cigar;
-            leftMap.reverse = false;
-            rightMap.mapped = true;
-            rightMap.pos = best.right.pos;
-            rightMap.score = best.right.score;
-            rightMap.cigar = best.right.cigar;
-            rightMap.reverse = true;
-            if (best.read1IsLeft) {
-                pm.first = std::move(leftMap);
-                pm.second = std::move(rightMap);
-            } else {
-                // Orientation B: read 2 maps forward, read 1 reverse.
-                leftMap.reverse = false;
-                rightMap.reverse = true;
-                pm.second = std::move(leftMap);
-                pm.first = std::move(rightMap);
-            }
-        } else {
-            // Fallback exit 3: light alignment rejected every candidate.
-            ++ctx.stats.lightAlignFallback;
-            batch.route[i] = PairRoute::LightFallback;
-        }
+    pm = {};
+    pm.path = path;
+    left.reverse = false;
+    right.reverse = true;
+    if (read1IsLeft) {
+        pm.first = std::move(left);
+        pm.second = std::move(right);
+    } else {
+        pm.second = std::move(left);
+        pm.first = std::move(right);
     }
 }
 
-/** Read planes of one pair-side, built once and shared per candidate. */
-inline const align::BitPlanes &
-leftPlanes(PairBatch &batch, u64 i, u32 o)
+/** A light-alignment winner as a Mapping (its CIGAR moved out). */
+inline Mapping
+lightMapping(LightResult &r)
 {
-    align::BitPlanes &planes = batch.lightLeft[2 * i + o];
-    if (!batch.lightLeftValid[2 * i + o]) {
-        planes.assign(*orientation(batch, i, o).left);
-        batch.lightLeftValid[2 * i + o] = 1;
-    }
-    return planes;
-}
-
-inline const align::BitPlanes &
-rightPlanes(PairBatch &batch, u64 i, u32 o)
-{
-    align::BitPlanes &planes = batch.lightRight[2 * i + o];
-    if (!batch.lightRightValid[2 * i + o]) {
-        planes.assign(*orientation(batch, i, o).right);
-        batch.lightRightValid[2 * i + o] = 1;
-    }
-    return planes;
+    Mapping m;
+    m.mapped = true;
+    m.pos = r.pos;
+    m.score = r.score;
+    m.cigar = std::move(r.cigar);
+    return m;
 }
 
 } // namespace
@@ -356,17 +323,14 @@ runLightAlignStage(const StageContext &ctx, PairBatch &batch)
     StageCounters &sc = counters(ctx, StageId::LightAlign);
     ++sc.batches;
 
-    if (ctx.gate) {
-        runLightAlignStageGated(ctx, batch, sc);
-        return;
-    }
-
-    // Gate-free path: evaluate the shifted-mask filter for whole lane
-    // groups of candidates per vector register. The scalar loop
-    // attempted the left side of every budgeted candidate and the
-    // right side only where the left aligned; two phased sweeps keep
-    // that exact attempt set, so every counter and trace field is
-    // unchanged.
+    // Evaluate the shifted-mask filter for whole lane groups of
+    // candidates per vector register, in two phased sweeps: the left
+    // side of every budgeted candidate the gate admits, then the right
+    // side of every left that aligned, if the gate admits it too. That
+    // is the candidate-by-candidate attempt set, so every counter and
+    // trace field matches a per-candidate loop; only the order of the
+    // gate's admit() calls differs (all lefts, then the rights), which
+    // a pure gate cannot tell (LightAlignGate).
     std::vector<CandidateRef> &cands = reuse(batch.sweepCands);
     std::vector<LightBatchItem> &leftItems = reuse(batch.lightLeftItems);
     for (u64 i = 0; i < batch.size; ++i) {
@@ -380,10 +344,12 @@ runLightAlignStage(const StageContext &ctx, PairBatch &batch)
             for (u64 c = begin; c < end; ++c) {
                 if (budget-- == 0)
                     break;
+                const GlobalPos start = batch.candidatePairs[c].leftStart;
+                if (!admitted(ctx, *orientation(batch, i, o).left, start))
+                    continue;
                 cands.push_back({ i, c, o });
-                leftItems.push_back(
-                    { &leftPlanes(batch, i, o),
-                      batch.candidatePairs[c].leftStart });
+                leftItems.push_back({ &sidePlanes(batch, i, o, false),
+                                      start });
             }
         }
     }
@@ -401,10 +367,14 @@ runLightAlignStage(const StageContext &ctx, PairBatch &batch)
         ctx.stats.lightHypotheses += leftRes[t].hypothesesTried;
         if (!leftRes[t].aligned)
             continue;
+        const CandidateRef &cr = cands[t];
+        const GlobalPos start = batch.candidatePairs[cr.cand].rightStart;
+        if (!admitted(ctx, *orientation(batch, cr.pair, cr.orient).right,
+                      start))
+            continue;
         rightSlot[t] = rightItems.size();
         rightItems.push_back(
-            { &rightPlanes(batch, cands[t].pair, cands[t].orient),
-              batch.candidatePairs[cands[t].cand].rightStart });
+            { &sidePlanes(batch, cr.pair, cr.orient, true), start });
     }
     std::vector<LightResult> &rightRes =
         reuse(batch.lightRightRes, rightItems.size());
@@ -415,70 +385,25 @@ runLightAlignStage(const StageContext &ctx, PairBatch &batch)
         ctx.stats.lightHypotheses += r.hypothesesTried;
     }
 
-    // Selection replay, per pair in candidate-visit order.
     std::size_t t = 0;
     for (u64 i = 0; i < batch.size; ++i) {
         if (batch.route[i] != PairRoute::Pending)
             continue;
-
-        struct Best
-        {
-            bool found = false;
-            i64 score = 0;
-            LightResult left;
-            LightResult right;
-            bool read1IsLeft = true;
-        } best;
-
-        u32 pairAttempts = 0;
-        for (; t < cands.size() && cands[t].pair == i; ++t) {
-            ++pairAttempts;
-            const LightResult &la = leftRes[t];
-            if (!la.aligned)
-                continue;
-            ++pairAttempts; // the right side was attempted too
-            const LightResult &ra = rightRes[rightSlot[t]];
-            if (!ra.aligned)
-                continue;
-            i64 score = static_cast<i64>(la.score) + ra.score;
-            if (!best.found || score > best.score) {
-                best.found = true;
-                best.score = score;
-                best.left = la;
-                best.right = ra;
-                best.read1IsLeft = cands[t].orient == 0;
-            }
-        }
-
+        const Replay r = replayPair(
+            cands, rightSlot, leftRes.data(), rightRes.data(), i, t,
+            [](const LightResult &res) { return res.aligned; });
         if (batch.trace)
-            batch.trace[i].lightAligns = pairAttempts;
+            batch.trace[i].lightAligns = r.sides;
+        const std::size_t best = r.best;
 
-        if (best.found) {
+        if (best != SIZE_MAX) {
             ++ctx.stats.lightAligned;
             ++sc.itemsOut;
             batch.route[i] = PairRoute::LightAligned;
-            PairMapping &pm = batch.out[i];
-            pm = {};
-            pm.path = MappingPath::LightAligned;
-            Mapping leftMap, rightMap;
-            leftMap.mapped = true;
-            leftMap.pos = best.left.pos;
-            leftMap.score = best.left.score;
-            leftMap.cigar = best.left.cigar;
-            leftMap.reverse = false;
-            rightMap.mapped = true;
-            rightMap.pos = best.right.pos;
-            rightMap.score = best.right.score;
-            rightMap.cigar = best.right.cigar;
-            rightMap.reverse = true;
-            if (best.read1IsLeft) {
-                pm.first = std::move(leftMap);
-                pm.second = std::move(rightMap);
-            } else {
-                // Orientation B: read 2 maps forward, read 1 reverse.
-                pm.second = std::move(leftMap);
-                pm.first = std::move(rightMap);
-            }
+            placePair(batch.out[i], MappingPath::LightAligned,
+                      lightMapping(leftRes[best]),
+                      lightMapping(rightRes[rightSlot[best]]),
+                      cands[best].orient == 0);
         } else {
             // Fallback exit 3: light alignment rejected every candidate.
             ++ctx.stats.lightAlignFallback;
@@ -581,6 +506,10 @@ runFallbackStage(const StageContext &ctx, PairBatch &batch)
             }
         }
 
+        const i32 minScore = ctx.params.minDpScore;
+        auto passes = [minScore](const Mapping &m) {
+            return m.mapped && m.score >= minScore;
+        };
         std::vector<Mapping> &leftRes =
             reuse(batch.dpLeftRes, cands.size());
         ctx.fallback->alignAtBatch(leftTasks.data(), leftTasks.size(),
@@ -591,8 +520,7 @@ runFallbackStage(const StageContext &ctx, PairBatch &batch)
         std::vector<std::size_t> &rightSlot = batch.rightSlot;
         rightSlot.assign(cands.size(), SIZE_MAX);
         for (std::size_t t = 0; t < cands.size(); ++t) {
-            const Mapping &lm = leftRes[t];
-            if (!lm.mapped || lm.score < ctx.params.minDpScore)
+            if (!passes(leftRes[t]))
                 continue;
             const OrientRefs refs =
                 orientation(batch, cands[t].pair, cands[t].orient);
@@ -607,53 +535,23 @@ runFallbackStage(const StageContext &ctx, PairBatch &batch)
         ctx.fallback->alignAtBatch(rightTasks.data(), rightTasks.size(),
                                    rightRes.data());
 
-        // Selection replay, per pair in candidate-visit order.
         std::size_t t = 0;
         for (u64 i : exit3) {
-            struct DpBest
-            {
-                bool found = false;
-                i64 score = 0;
-                Mapping left;
-                Mapping right;
-                bool read1IsLeft = true;
-            } dpBest;
-
-            for (; t < cands.size() && cands[t].pair == i; ++t) {
-                Mapping &lm = leftRes[t];
-                if (!lm.mapped || lm.score < ctx.params.minDpScore)
-                    continue;
-                Mapping &rm = rightRes[rightSlot[t]];
-                if (!rm.mapped || rm.score < ctx.params.minDpScore)
-                    continue;
-                i64 score = static_cast<i64>(lm.score) + rm.score;
-                if (!dpBest.found || score > dpBest.score) {
-                    dpBest.found = true;
-                    dpBest.score = score;
-                    dpBest.left = std::move(lm);
-                    dpBest.right = std::move(rm);
-                    dpBest.read1IsLeft = cands[t].orient == 0;
-                }
-            }
-
-            PairMapping &pm = batch.out[i];
-            pm = {};
-            if (dpBest.found) {
+            const std::size_t best =
+                replayPair(cands, rightSlot, leftRes.data(),
+                           rightRes.data(), i, t, passes)
+                    .best;
+            if (best != SIZE_MAX) {
                 ++ctx.stats.dpAligned;
                 ++sc.itemsOut;
-                pm.path = MappingPath::DpAlignFallback;
-                dpBest.left.reverse = false;
-                dpBest.right.reverse = true;
-                if (dpBest.read1IsLeft) {
-                    pm.first = std::move(dpBest.left);
-                    pm.second = std::move(dpBest.right);
-                } else {
-                    pm.second = std::move(dpBest.left);
-                    pm.first = std::move(dpBest.right);
-                }
+                placePair(batch.out[i], MappingPath::DpAlignFallback,
+                          std::move(leftRes[best]),
+                          std::move(rightRes[rightSlot[best]]),
+                          cands[best].orient == 0);
             } else {
                 ++ctx.stats.unmapped;
-                pm.path = MappingPath::Unmapped;
+                batch.out[i] = {};
+                batch.out[i].path = MappingPath::Unmapped;
             }
         }
     }

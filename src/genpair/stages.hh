@@ -142,15 +142,9 @@ struct PairBatch
     std::vector<CandidatePair> candidatePairs;
     std::vector<PairRoute> route;
 
-    // Light-alignment scratch: one per pair side, read planes cached
-    // across the candidates of an orientation.
-    LightAlignScratch scratchLeft;
-    LightAlignScratch scratchRight;
-
-    // Batched light-alignment state (the gate-free fast path): read
-    // bit planes per pair x orientation ([2*i+o], built on demand and
-    // shared by every candidate of that side) plus the lane-major
-    // ShdBatch staging.
+    // Batched light-alignment state: read bit planes per pair x
+    // orientation ([2*i+o], built on demand and shared by every
+    // candidate of that side) plus the lane-major ShdBatch staging.
     std::vector<align::BitPlanes> lightLeft;
     std::vector<align::BitPlanes> lightRight;
     std::vector<u8> lightLeftValid;

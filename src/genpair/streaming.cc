@@ -35,7 +35,7 @@ StreamingMapper::StreamingMapper(const genomics::Reference &ref,
                                  const DriverConfig &config,
                                  u64 chunk_pairs, u32 io_threads)
     : owned_(std::make_unique<ParallelMapper>(ref, map, config)),
-      mapper_(*owned_), borrowed_(false),
+      mapper_(*owned_),
       chunkPairs_(chunk_pairs == 0 ? 1 : chunk_pairs),
       ioThreads_(io_threads == 0 ? 1 : io_threads),
       traceEnabled_(config.recordTrace)
@@ -44,7 +44,7 @@ StreamingMapper::StreamingMapper(const genomics::Reference &ref,
 
 StreamingMapper::StreamingMapper(ParallelMapper &shared, u64 chunk_pairs,
                                  u32 io_threads, bool record_trace)
-    : mapper_(shared), borrowed_(true),
+    : mapper_(shared),
       chunkPairs_(chunk_pairs == 0 ? 1 : chunk_pairs),
       ioThreads_(io_threads == 0 ? 1 : io_threads),
       traceEnabled_(record_trace)
@@ -196,9 +196,7 @@ StreamingMapper::tryRun(std::istream &r1, std::istream &r2,
             rawQ.close();
         } else if (!tooLarge &&
                    !writeFailed.load(std::memory_order_relaxed)) {
-            DriverResult res = borrowed_
-                                   ? mapper_.mapAllShared(parsed->pairs)
-                                   : mapper_.mapAll(parsed->pairs);
+            DriverResult res = mapper_.mapAll(parsed->pairs);
             result.stats += res.stats;
             mapSeconds += res.timing.seconds;
             result.pairs += parsed->pairs.size();

@@ -87,9 +87,9 @@ class StreamingMapper
 
     /**
      * Borrowing form for daemons: rides an existing ParallelMapper
-     * (thread-safe mapAllShared submission) instead of owning a pool,
-     * so many request handlers can stream over one resident mount.
-     * @p shared must outlive this mapper.
+     * instead of owning a pool, so many request handlers can stream
+     * over one resident mount (ParallelMapper::mapAll() serializes
+     * their chunks). @p shared must outlive this mapper.
      */
     explicit StreamingMapper(ParallelMapper &shared,
                              u64 chunk_pairs = 65536, u32 io_threads = 1,
@@ -127,7 +127,6 @@ class StreamingMapper
   private:
     std::unique_ptr<ParallelMapper> owned_;
     ParallelMapper &mapper_;
-    const bool borrowed_;
     u64 chunkPairs_;
     u32 ioThreads_;
     bool traceEnabled_;

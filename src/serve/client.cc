@@ -87,6 +87,10 @@ ServeClient::readReply(Frame *frame, u8 expected_type,
         status->transportError = "oversize reply frame";
         return false;
     case FrameRead::kError:
+    // No deadline is set on replies (default FrameTimeouts), so the
+    // timeout results cannot occur; a read that ends that way failed.
+    case FrameRead::kIdleTimeout:
+    case FrameRead::kTimeout:
         status->transportError = "reply read failed";
         return false;
     }

@@ -17,7 +17,7 @@
  * slot (backpressure: when the queue is full the handler blocks, the
  * client's socket fills, and the client's send blocks — no unbounded
  * buffering anywhere), then submits the batch to the mount's
- * ParallelMapper through the thread-safe mapAllShared() entry point.
+ * ParallelMapper, whose mapAll() serializes concurrent callers.
  * Requests on one connection are handled strictly in order; requests
  * on different connections share the pool in admission order. Mapping
  * itself is bit-identical to gpx_map over the same pairs — the golden

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <thread>
 
 #include "genpair/driver.hh"
 #include "simdata/genome_generator.hh"
@@ -281,6 +282,58 @@ TEST(DriverGrainTest, GuidedBlocksMapLikeSerial64PairBatches)
         // ...and packed the same DP tasks into no more sweeps.
         EXPECT_GT(res.stats.dpLanesUsed, 0u);
         EXPECT_LE(res.stats.dpLaneGroups, s.dpLaneGroups);
+    }
+}
+
+
+/** Every mapping and every PipelineStats field of two runs. */
+void
+expectSameResult(const genpair::DriverResult &a,
+                 const genpair::DriverResult &b)
+{
+    ASSERT_EQ(a.mappings.size(), b.mappings.size());
+    for (std::size_t i = 0; i < a.mappings.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "pair " << i);
+        EXPECT_EQ(a.mappings[i].path, b.mappings[i].path);
+        expectSameMapping(a.mappings[i].first, b.mappings[i].first);
+        expectSameMapping(a.mappings[i].second, b.mappings[i].second);
+    }
+    expectSameWorkCounters(a.stats, b.stats);
+    EXPECT_EQ(a.stats.dpLaneGroups, b.stats.dpLaneGroups);
+    EXPECT_EQ(a.stats.readerStallSeconds, b.stats.readerStallSeconds);
+    EXPECT_EQ(a.stats.writerStallSeconds, b.stats.writerStallSeconds);
+    for (u32 st = 0; st < genpair::kNumStages; ++st)
+        EXPECT_EQ(a.stats.stage[st].batches, b.stats.stage[st].batches)
+            << st;
+}
+
+TEST_F(DriverTest, ConcurrentMapAllCallsEachMatchASoloRun)
+{
+    // Serve handlers and borrowing StreamingMappers call mapAll() on
+    // one mapper from many threads. Each call must own the pool and
+    // its per-worker stats for its whole batch: two callers with
+    // different inputs get exactly what each gets alone.
+    DriverConfig cfg;
+    cfg.threads = 4;
+    cfg.gateFactory = [] {
+        return std::make_unique<gpx::testing::OddPositionGate>();
+    };
+    ParallelMapper mapper(ref_, *map_, cfg);
+    const std::vector<genomics::ReadPair> head(pairs_.begin(),
+                                               pairs_.begin() + 100);
+    const genpair::DriverResult soloAll = mapper.mapAll(pairs_);
+    const genpair::DriverResult soloHead = mapper.mapAll(head);
+    ASSERT_GT(soloAll.stats.gateRejected, 0u);
+
+    for (int round = 0; round < 4; ++round) {
+        SCOPED_TRACE(::testing::Message() << "round " << round);
+        genpair::DriverResult all, part;
+        std::thread a([&] { all = mapper.mapAll(pairs_); });
+        std::thread b([&] { part = mapper.mapAll(head); });
+        a.join();
+        b.join();
+        expectSameResult(soloAll, all);
+        expectSameResult(soloHead, part);
     }
 }
 

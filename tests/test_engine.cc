@@ -39,8 +39,8 @@ TEST(MapperEngineTest, EveryItemProcessedExactlyOnce)
         return std::make_unique<RecordingContext>();
     });
     constexpr u64 kItems = 1000;
-    auto timing = engine.run(kItems, [](WorkerContext &ctx, u64 begin,
-                                        u64 end) {
+    auto timing = engine.submit(kItems, [](WorkerContext &ctx, u64 begin,
+                                           u64 end) {
         auto &rec = static_cast<RecordingContext &>(ctx);
         for (u64 i = begin; i < end; ++i)
             rec.items.push_back(i);
@@ -63,7 +63,7 @@ recordPartition(MapperEngine &engine, u64 items)
 {
     std::mutex mu;
     std::vector<std::pair<u64, u64>> blocks;
-    engine.run(items, [&](WorkerContext &, u64 begin, u64 end) {
+    engine.submit(items, [&](WorkerContext &, u64 begin, u64 end) {
         std::lock_guard<std::mutex> lock(mu);
         blocks.emplace_back(begin, end);
     });
@@ -102,9 +102,10 @@ TEST(MapperEngineTest, GuidedPartitionIsExactBoundedAndDeterministic)
                     EXPECT_GE(size, minGrain) << "block " << b;
                     EXPECT_LE(size, 16 * minGrain) << "block " << b;
                 }
-                if (!blocks.empty())
+                if (!blocks.empty()) {
                     EXPECT_LE(blocks.back().second - blocks.back().first,
                               16 * minGrain);
+                }
 
                 EXPECT_EQ(recordPartition(engine, items), blocks)
                     << "partition changed between runs";
@@ -151,7 +152,7 @@ TEST(MapperEngineTest, ContextsPersistAcrossRuns)
         return std::make_unique<RecordingContext>();
     });
     for (int run = 0; run < 5; ++run)
-        engine.run(64, [](WorkerContext &ctx, u64, u64) {
+        engine.submit(64, [](WorkerContext &ctx, u64, u64) {
             ++static_cast<RecordingContext &>(ctx).runsSeen;
         });
     u64 totalBlocks = 0;
@@ -166,7 +167,7 @@ TEST(MapperEngineTest, EmptyJobCompletes)
     MapperEngine engine(2, [](u32) {
         return std::make_unique<RecordingContext>();
     });
-    auto timing = engine.run(0, [](WorkerContext &, u64, u64) {
+    auto timing = engine.submit(0, [](WorkerContext &, u64, u64) {
         FAIL() << "no block should be dispatched for an empty job";
     });
     EXPECT_EQ(timing.itemsPerSec, 0.0);

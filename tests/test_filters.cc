@@ -547,6 +547,27 @@ TEST_F(FilteredLightTest, StatsAccumulateAndReset)
     EXPECT_EQ(combo.stats().candidates, 0u);
 }
 
+TEST_F(FilteredLightTest, CandidatesNearGenomeStartSkipTheFilter)
+{
+    // The filter needs `budget` window bases left of the candidate.
+    // Nearer the genome start both gate forms leave the candidate to
+    // Light Alignment's own window check instead of aborting.
+    genpair::LightAligner plain(ref_, params_);
+    filters::FilteredLightAligner combo(ref_, params_, gate_);
+    filters::FilterGate gate(ref_, gate_, combo.gateBudget());
+    for (GlobalPos pos = 0; pos < combo.gateBudget(); ++pos) {
+        const DnaSequence read = ref_.window(pos, 150);
+        EXPECT_TRUE(gate.admit(read, pos)) << pos;
+        const auto p = plain.align(read, pos);
+        const auto c = combo.align(read, pos);
+        EXPECT_EQ(c.aligned, p.aligned) << pos;
+        EXPECT_EQ(c.hypothesesTried, p.hypothesesTried) << pos;
+    }
+    EXPECT_EQ(gate.evaluations(), 0u);
+    EXPECT_EQ(combo.stats().gateRejected, 0u);
+    EXPECT_EQ(combo.stats().lightAttempted, combo.gateBudget());
+}
+
 TEST_F(FilteredLightTest, GateBudgetCoversLightAlignBound)
 {
     filters::FilteredLightAligner combo(ref_, params_, gate_);

@@ -4,7 +4,8 @@
  * read set (tests/data/golden/) with a pinned SAM md5. Serial, pooled,
  * streaming and image-backed drivers (SeedMap and fallback index both
  * served from the mapping) must all reproduce the digest
- * bit-identically, under every SIMD backend the host runs.
+ * bit-identically, under every SIMD backend the host runs. Runs behind
+ * a light-align admission gate pin their counters as well.
  *
  * If an intentional mapping-behavior change moves the digest, every
  * driver must move to the SAME new digest; update kGoldenSamMd5 and
@@ -14,10 +15,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 
 #include "baseline/mm2lite.hh"
+#include "filters/filtered_light_align.hh"
+#include "filters/sneakysnake.hh"
 #include "genomics/fasta.hh"
 #include "genomics/sam.hh"
 #include "genpair/pipeline.hh"
@@ -27,6 +32,7 @@
 #include "util/gzip_stream.hh"
 #include "util/md5.hh"
 #include "util/simd.hh"
+#include "test_gates.hh"
 
 namespace {
 
@@ -299,6 +305,152 @@ TEST_F(GoldenCorpusTest, TraceEnabledRunReproducesPinnedDigest)
     std::string error;
     ASSERT_TRUE(hwsim::loadRecordedRun(is, &run, &error)) << error;
     EXPECT_EQ(run.stats.pairsTotal, pairs_.size());
+}
+
+/**
+ * Pinned outcome of the golden corpus mapped behind one light-align
+ * gate: the SAM digest plus the counters the gate moves. The FilterGate
+ * tallies are summed over every gate instance of the run (zero for the
+ * OddPositionGate, which keeps none).
+ */
+struct GatedGolden
+{
+    const char *name;
+    bool sneaky; ///< SneakySnake FilterGate, else OddPositionGate
+    const char *md5;
+    u64 gateRejected;
+    u64 lightAlignsAttempted;
+    u64 lightHypotheses;
+    u64 lightAligned;
+    u64 dpAligned;
+    u64 gateEvaluations;
+    u64 gateRejections;
+};
+
+/**
+ * Recorded with a candidate-by-candidate gated stage, which asked the
+ * gate about each candidate's left and then its right before moving
+ * on; the batched stage asks in a different order and must reproduce
+ * every value. The sound
+ * SneakySnake gate leaves the ungated routing in place; the unsound
+ * OddPositionGate moves pairs off the fast path, and the DP at their
+ * candidates places them where light alignment did, so the digest
+ * stays the ungated one.
+ */
+const GatedGolden kGatedGolden[] = {
+    { "odd-position", false, kGoldenSamMd5, 209, 184, 22143, 48, 213, 0, 0 },
+    { "sneakysnake", true, kGoldenSamMd5, 19, 504, 60863, 215, 46, 522, 19 },
+};
+
+/** Builds one run's gates and sums the FilterGate tallies over them. */
+class GateBank
+{
+  public:
+    GateBank(const Reference &ref, bool sneaky) : ref_(ref), sneaky_(sneaky)
+    {
+    }
+
+    /** A fresh gate; thread-safe (the pool's workers start at once). */
+    std::unique_ptr<genpair::LightAlignGate>
+    make()
+    {
+        if (!sneaky_)
+            return std::make_unique<gpx::testing::OddPositionGate>();
+        const genpair::LightAlignParams light;
+        auto gate = std::make_unique<filters::FilterGate>(
+            ref_, snake_, std::max(light.maxShift, light.maxMismatches));
+        std::lock_guard<std::mutex> lock(mu_);
+        gates_.push_back(gate.get());
+        return gate;
+    }
+
+    /** Summed evaluations/rejections; the gates must still be alive. */
+    std::pair<u64, u64>
+    tallies()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        std::pair<u64, u64> sum{ 0, 0 };
+        for (const filters::FilterGate *g : gates_) {
+            sum.first += g->evaluations();
+            sum.second += g->rejections();
+        }
+        return sum;
+    }
+
+  private:
+    const Reference &ref_;
+    bool sneaky_;
+    filters::SneakySnakeFilter snake_;
+    std::mutex mu_;
+    std::vector<const filters::FilterGate *> gates_;
+};
+
+TEST_F(GoldenCorpusTest, GatedRunsReproducePinnedDigestAndCounters)
+{
+    // A gate only filters which candidates reach light alignment; the
+    // stage must produce the same mappings and counters whichever
+    // driver, thread count or SIMD backend runs it.
+    genpair::DriverConfig base = config_;
+    base.fallbackIndex = std::make_shared<const baseline::MinimizerIndex>(
+        ref_, base.fallback.minimizers); // built once for every run
+    const util::SimdBackend prev = util::activeSimdBackend();
+    for (const GatedGolden &want : kGatedGolden) {
+        SCOPED_TRACE(want.name);
+        auto check = [&](const char *driver,
+                         const genpair::PipelineStats &stats,
+                         const std::string &digest, GateBank &bank) {
+            SCOPED_TRACE(driver);
+            EXPECT_EQ(digest, want.md5);
+            EXPECT_EQ(stats.gateRejected, want.gateRejected);
+            EXPECT_EQ(stats.lightAlignsAttempted,
+                      want.lightAlignsAttempted);
+            EXPECT_EQ(stats.lightHypotheses, want.lightHypotheses);
+            EXPECT_EQ(stats.lightAligned, want.lightAligned);
+            EXPECT_EQ(stats.dpAligned, want.dpAligned);
+            const auto [evaluations, rejections] = bank.tallies();
+            EXPECT_EQ(evaluations, want.gateEvaluations);
+            EXPECT_EQ(rejections, want.gateRejections);
+        };
+        for (util::SimdBackend backend :
+             { util::SimdBackend::Scalar, util::SimdBackend::Avx2,
+               util::SimdBackend::Avx512 }) {
+            if (util::forceSimdBackend(backend) != backend)
+                continue; // the host cannot run it
+            SCOPED_TRACE(std::string("backend=") +
+                         util::simdBackendName(backend));
+            {
+                GateBank bank(ref_, want.sneaky);
+                auto gate = bank.make();
+                baseline::Mm2Lite fallback(ref_, base.fallback,
+                                           base.fallbackIndex);
+                genpair::GenPairPipeline pipeline(ref_, *map_,
+                                                  base.pipeline, &fallback);
+                pipeline.setLightAlignGate(gate.get());
+                const std::string digest =
+                    samDigest([&](genomics::SamWriter &sam) {
+                        for (const auto &pair : pairs_)
+                            sam.writePair(pair, pipeline.mapPair(pair));
+                    });
+                check("serial", pipeline.stats(), digest, bank);
+            }
+            for (u32 threads : { 1u, 4u }) {
+                GateBank bank(ref_, want.sneaky);
+                genpair::DriverConfig config = base;
+                config.threads = threads;
+                config.gateFactory = [&bank] { return bank.make(); };
+                genpair::ParallelMapper mapper(ref_, *map_, config);
+                const auto result = mapper.mapAll(pairs_);
+                const std::string digest =
+                    samDigest([&](genomics::SamWriter &sam) {
+                        for (std::size_t i = 0; i < pairs_.size(); ++i)
+                            sam.writePair(pairs_[i], result.mappings[i]);
+                    });
+                check(threads == 1 ? "pool x1" : "pool x4", result.stats,
+                      digest, bank);
+            }
+        }
+    }
+    util::forceSimdBackend(prev);
 }
 
 } // namespace

@@ -3,9 +3,8 @@
  * Stage-graph equivalence tests: the batched SoA engine must be
  * bit-identical to per-pair execution for any batch partition, with
  * statistics equal field by field, on inputs that exercise every
- * Fig. 10 fallback exit. Also pins the scratch-reusing kernels
- * (light-align scratch, branchless banded DP) against their
- * allocating/reference counterparts.
+ * Fig. 10 fallback exit. Also pins the scratch-reusing branchless
+ * banded DP against its reference counterpart.
  */
 
 #include <gtest/gtest.h>
@@ -293,39 +292,6 @@ TEST_F(StageGraphTest, TraceRecordsMatchRouting)
     std::vector<genomics::PairMapping> plain;
     runBatched(pairs_.size(), &plain);
     expectMappingsEqual(plain, out);
-}
-
-TEST(LightAlignScratchTest, ScratchFormMatchesAllocatingForm)
-{
-    simdata::GenomeParams gp;
-    gp.length = 60000;
-    gp.seed = 9;
-    genomics::Reference ref = simdata::generateGenome(gp);
-    genpair::LightAligner aligner(ref, genpair::LightAlignParams{});
-    genpair::LightAlignScratch scratch;
-
-    util::Pcg32 rng(42);
-    for (int iter = 0; iter < 300; ++iter) {
-        u64 pos = 200 + rng.next() % (ref.totalLength() - 600);
-        genomics::DnaSequence read =
-            ref.windowView(pos, 150).materialize();
-        // Mutate a few bases / shift so all hypothesis classes fire.
-        for (int e = 0; e < static_cast<int>(rng.next() % 5); ++e)
-            read.set(rng.next() % read.size(),
-                     static_cast<u8>(rng.next() & 3));
-        GlobalPos candidate =
-            pos + static_cast<i64>(rng.next() % 9) - 4;
-        scratch.invalidateRead();
-        for (int rep = 0; rep < 2; ++rep) { // cached-planes path too
-            auto a = aligner.align(read, candidate);
-            auto b = aligner.align(read, candidate, scratch);
-            ASSERT_EQ(a.aligned, b.aligned);
-            ASSERT_EQ(a.score, b.score);
-            ASSERT_EQ(a.pos, b.pos);
-            ASSERT_EQ(a.hypothesesTried, b.hypothesesTried);
-            ASSERT_EQ(a.cigar.toString(), b.cigar.toString());
-        }
-    }
 }
 
 TEST(AffineOracleTest, BranchlessEngineMatchesReference)
