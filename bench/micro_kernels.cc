@@ -15,6 +15,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "filters/edit_distance.hh"
 #include "filters/grim_filter.hh"
 #include "filters/sneakysnake.hh"
+#include "genomics/sam.hh"
 #include "genpair/light_align.hh"
 #include "genpair/seeder.hh"
 #include "genpair/seedmap.hh"
@@ -419,5 +422,63 @@ BM_RevCompWord(benchmark::State &state)
     state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
 BENCHMARK(BM_RevCompWord);
+
+/** A stream that drops its bytes, so only rendering is timed. */
+class DiscardBuf : public std::streambuf
+{
+  protected:
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        return n;
+    }
+    int_type
+    overflow(int_type c) override
+    {
+        return traits_type::not_eof(c);
+    }
+};
+
+/**
+ * SAM rendering of 1,024 mapped 2x150 bp FR pairs per iteration (one
+ * writePairBatch: the rendered block plus one discarded stream write).
+ * Reports bytes/s of SAM text and records/s.
+ */
+void
+BM_SamRenderPairs(benchmark::State &state)
+{
+    constexpr std::size_t kPairs = 1024;
+    const genomics::Reference &ref = sharedRef();
+    const genomics::DnaSequence &chrom = ref.chromosome(0);
+    util::Pcg32 rng(23);
+    std::vector<genomics::ReadPair> pairs(kPairs);
+    std::vector<genomics::PairMapping> mappings(kPairs);
+    for (std::size_t i = 0; i < kPairs; ++i) {
+        const u64 pos = rng.below(static_cast<u32>(chrom.size() - 600));
+        const u64 matePos = pos + 150 + rng.below(300);
+        pairs[i].first.name = "bench" + std::to_string(i) + "/1";
+        pairs[i].first.seq = chrom.sub(pos, 150);
+        pairs[i].second.name = "bench" + std::to_string(i) + "/2";
+        pairs[i].second.seq = chrom.sub(matePos, 150).revComp();
+        for (genomics::Mapping *m :
+             { &mappings[i].first, &mappings[i].second }) {
+            m->mapped = true;
+            m->score = 300;
+            m->cigar.push(genomics::CigarOp::Match, 150);
+        }
+        mappings[i].first.pos = ref.toGlobal(0, pos);
+        mappings[i].second.pos = ref.toGlobal(0, matePos);
+        mappings[i].second.reverse = true;
+    }
+
+    DiscardBuf discard;
+    std::ostream sink(&discard);
+    genomics::SamWriter writer(sink, ref);
+    for (auto _ : state)
+        writer.writePairBatch(pairs.data(), mappings.data(), kPairs);
+    state.SetBytesProcessed(static_cast<i64>(writer.bytesWritten()));
+    state.SetItemsProcessed(static_cast<i64>(writer.recordsWritten()));
+}
+BENCHMARK(BM_SamRenderPairs);
 
 } // namespace

@@ -33,7 +33,28 @@ enum SamFlag : u32
     kSamSecondInPair = 0x80,
 };
 
-/** Writes SAM records for mapped read pairs. */
+/**
+ * Rendered SAM records: the bytes of one engine block (or one writePair
+ * call) and how many records they hold. A block owns its bytes, so the
+ * thread that renders it and the thread that commits it share nothing
+ * else.
+ */
+struct SamBlock
+{
+    std::string bytes;
+    u64 records = 0;
+};
+
+/**
+ * Renders SAM records and commits them to one output stream.
+ *
+ * Rendering and writing are split. renderPairs()/renderRead() are
+ * const: they append records to a caller-owned string and touch
+ * nothing else, so any number of threads (the mapping workers, one
+ * engine block each) may render through one writer while another
+ * thread commit()s. commit() is the only member that touches the
+ * stream; it is called from one thread, in output order.
+ */
 class SamWriter
 {
   public:
@@ -48,26 +69,39 @@ class SamWriter
     /** Emit the @HD/@SQ/@PG header block. */
     void writeHeader();
 
-    /** Emit the two records of a mapped pair. */
-    void writePair(const ReadPair &pair, const PairMapping &mapping);
+    /**
+     * Append the two records of each of @p n pairs to @p out.
+     * Thread-safe: reads only the reference and the proper-pair bound.
+     */
+    void renderPairs(std::string &out, const ReadPair *pairs,
+                     const PairMapping *mappings, std::size_t n) const;
+
+    /** Append one single-end record (long reads) to @p out. */
+    void renderRead(std::string &out, const Read &read,
+                    const Mapping &mapping) const;
 
     /**
-     * Emit @p n pairs as one stream write: records render into an
-     * in-memory buffer first, so the output stream sees one large
-     * write per batch instead of ~a dozen small ones per record.
-     * Byte-identical to n writePair() calls (same rendering code).
+     * Write a rendered block to the stream and count its records. The
+     * sole stream toucher: every emission funnels through here, and
+     * each call is one stream write (and one `sam.write` fault check).
      */
+    void commit(const SamBlock &block);
+
+    /** Emit the two records of a mapped pair (render + commit). */
+    void writePair(const ReadPair &pair, const PairMapping &mapping);
+
+    /** Emit @p n pairs as one rendered block and one stream write. */
     void writePairBatch(const ReadPair *pairs, const PairMapping *mappings,
                         std::size_t n);
 
-    /** Emit one single-end record (long reads). */
+    /** Emit one single-end record (long reads; render + commit). */
     void writeRead(const Read &read, const Mapping &mapping);
 
     /**
      * Name the output (a path for the batch tools, a role for the
      * daemon's reply buffers) and check the stream after *every*
      * write: a short write or ENOSPC fails right at the offending
-     * batch with the label and byte offset in the diagnostic, instead
+     * block with the label and byte offset in the diagnostic, instead
      * of surfacing — or not — at stream close. With @p fatal_on_error
      * the first failure kills the process (the batch tools' fatal
      * discipline); without it the failure latches into writeFailed()
@@ -83,17 +117,14 @@ class SamWriter
     /** Payload bytes successfully handed to the stream. */
     u64 bytesWritten() const { return bytesWritten_; }
 
-    /** Records written so far. */
+    /** Records committed so far (rendered records count on commit). */
     u64 recordsWritten() const { return records_; }
 
   private:
-    void writeRecord(std::ostream &os, const Read &read,
-                     const Mapping &mapping, u32 flags,
-                     const Mapping *mate, i64 tlen);
-    void writePairTo(std::ostream &os, const ReadPair &pair,
-                     const PairMapping &mapping);
-    /** Sole stream toucher: every emission funnels through here. */
-    void commit(const std::string &rendered);
+    /** Append one record; @p flags gains the per-read bits here. */
+    void renderRecord(std::string &out, const Read &read,
+                      const Mapping &mapping, u32 flags,
+                      const Mapping *mate, i64 tlen) const;
 
     std::ostream &os_;
     const Reference &ref_;

@@ -15,6 +15,8 @@ struct PairWorkerContext : WorkerContext
     baseline::Mm2Lite fallback;
     GenPairPipeline pipeline;
     std::unique_ptr<LightAlignGate> gate;
+    /** A rendering job's mappings: one block's, reused per block. */
+    std::vector<genomics::PairMapping> blockMappings;
 
     PairWorkerContext(
         const genomics::Reference &ref, const SeedMapView &map,
@@ -54,10 +56,14 @@ ParallelMapper::ParallelMapper(const genomics::Reference &ref,
 }
 
 DriverResult
-ParallelMapper::mapAll(const std::vector<genomics::ReadPair> &pairs)
+ParallelMapper::mapAll(const std::vector<genomics::ReadPair> &pairs,
+                       const genomics::SamWriter *renderer)
 {
     DriverResult result;
-    result.mappings.resize(pairs.size());
+    // A rendering job keeps each block's mappings only until they are
+    // rendered; otherwise they land at the pairs' input indices.
+    if (renderer == nullptr)
+        result.mappings.resize(pairs.size());
     if (config_.recordTrace)
         result.trace.resize(pairs.size());
 
@@ -69,23 +75,47 @@ ParallelMapper::mapAll(const std::vector<genomics::ReadPair> &pairs)
     });
 
     const genomics::ReadPair *in = pairs.data();
-    genomics::PairMapping *out = result.mappings.data();
     PairTraceRecord *trace =
         config_.recordTrace ? result.trace.data() : nullptr;
     const bool useGenPair = config_.useGenPair;
 
+    // Rendered blocks finish in any order; keyed by their first pair,
+    // they are sorted back into input order after the job.
+    std::vector<std::pair<u64, genomics::SamBlock>> rendered;
+    std::mutex renderedMu;
+
     result.timing = engine_->submit(
         pairs.size(), [&](WorkerContext &wc, u64 begin, u64 end) {
             auto &ctx = static_cast<PairWorkerContext &>(wc);
+            const u64 n = end - begin;
+            genomics::PairMapping *out;
+            if (renderer != nullptr) {
+                ctx.blockMappings.resize(n);
+                out = ctx.blockMappings.data();
+            } else {
+                out = result.mappings.data() + begin;
+            }
             if (useGenPair) {
-                ctx.pipeline.mapBatch(in + begin, end - begin,
-                                      out + begin,
+                ctx.pipeline.mapBatch(in + begin, n, out,
                                       trace ? trace + begin : nullptr);
             } else {
-                for (u64 i = begin; i < end; ++i)
-                    out[i] = ctx.fallback.mapPair(in[i]);
+                for (u64 i = 0; i < n; ++i)
+                    out[i] = ctx.fallback.mapPair(in[begin + i]);
+            }
+            if (renderer != nullptr) {
+                genomics::SamBlock block;
+                block.records = 2 * n;
+                renderer->renderPairs(block.bytes, in + begin, out, n);
+                std::lock_guard<std::mutex> guard(renderedMu);
+                rendered.emplace_back(begin, std::move(block));
             }
         });
+
+    std::sort(rendered.begin(), rendered.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    result.sam.reserve(rendered.size());
+    for (auto &entry : rendered)
+        result.sam.push_back(std::move(entry.second));
 
     engine_->forEachContext([&](WorkerContext &ctx) {
         result.stats +=

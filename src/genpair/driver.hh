@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "baseline/mm2lite.hh"
+#include "genomics/sam.hh"
 #include "genpair/engine.hh"
 #include "genpair/pipeline.hh"
 #include "genpair/seedmap.hh"
@@ -69,12 +70,18 @@ struct DriverConfig
 /** Batch mapping results. */
 struct DriverResult
 {
-    std::vector<genomics::PairMapping> mappings; ///< 1:1 with input
+    /** 1:1 with input; empty when mapAll() rendered SAM instead. */
+    std::vector<genomics::PairMapping> mappings;
     PipelineStats stats; ///< aggregated across workers
     /** Pure mapping wall time of this mapAll() call (see RunTiming). */
     RunTiming timing;
     /** Per-pair stage events; 1:1 with input iff recordTrace was set. */
     std::vector<PairTraceRecord> trace;
+    /**
+     * With a renderer: the SAM records of every engine block, in input
+     * order (concatenated, the records of pairs[0..n)).
+     */
+    std::vector<genomics::SamBlock> sam;
 };
 
 /**
@@ -100,8 +107,16 @@ class ParallelMapper
      * from any thread: concurrent calls are serialized, and each
      * result (mappings, stats, timing of its own pool occupancy) is
      * the one the call would get alone.
+     *
+     * With @p renderer, each engine block renders its pairs' SAM
+     * records on its worker right after mapping them, into
+     * DriverResult::sam, and keeps the block's mappings only that long
+     * (DriverResult::mappings stays empty; the timing covers rendering
+     * too). Only the renderer's const render path is used, so another
+     * thread may be committing through the same SamWriter meanwhile.
      */
-    DriverResult mapAll(const std::vector<genomics::ReadPair> &pairs);
+    DriverResult mapAll(const std::vector<genomics::ReadPair> &pairs,
+                        const genomics::SamWriter *renderer = nullptr);
 
     u32 threads() const { return engine_->threads(); }
 

@@ -18,12 +18,15 @@ namespace genpair {
 
 namespace {
 
-/** One chunk leaving the mapper for the emission stage. */
+/**
+ * One chunk leaving the mapper for the emission stage: its SAM bytes,
+ * already rendered by the workers one engine block at a time. The
+ * chunk's pairs and mappings stay behind on the mapper thread.
+ */
 struct MappedChunk
 {
     u64 seq = 0;
-    std::vector<genomics::ReadPair> pairs;
-    std::vector<genomics::PairMapping> mappings;
+    std::vector<genomics::SamBlock> sam; ///< input order
     std::vector<PairTraceRecord> trace;
     genomics::IngestError error; ///< when set: emission stops here
 };
@@ -123,10 +126,11 @@ StreamingMapper::tryRun(std::istream &r1, std::istream &r2,
         });
     }
 
-    // Writer: the only thread that touches `sam`. Reorders by chunk
-    // sequence number so emission is strictly input-ordered; stops at
-    // the first in-order error chunk, which by construction carries
-    // the diagnostic the serial reader would have hit first.
+    // Writer: the only thread that commits through `sam`; the workers
+    // only render through its const path. Reorders by chunk sequence
+    // number so emission is strictly input-ordered; stops at the first
+    // in-order error chunk, which by construction carries the
+    // diagnostic the serial reader would have hit first.
     genomics::IngestError firstError;
     std::atomic<bool> writeFailed{ false };
     std::thread writerThread([&]() {
@@ -148,19 +152,21 @@ StreamingMapper::tryRun(std::istream &r1, std::istream &r2,
                 }
                 if (trace_sink)
                     trace_sink(chunk.trace.data(), chunk.trace.size());
-                sam.writePairBatch(chunk.pairs.data(),
-                                   chunk.mappings.data(),
-                                   chunk.pairs.size());
-                if (sam.writeFailed()) {
-                    // Checked writer latched a short write/ENOSPC:
-                    // nothing downstream of this byte offset can be
-                    // emitted in order, so stop writing and let the
-                    // pipeline drain (upstream stops via rawQ below).
-                    writeFailed.store(true,
-                                      std::memory_order_relaxed);
-                    stopped = true;
-                    break;
+                for (const genomics::SamBlock &block : chunk.sam) {
+                    sam.commit(block);
+                    if (sam.writeFailed()) {
+                        // Checked writer latched a short write/ENOSPC:
+                        // nothing downstream of this byte offset can be
+                        // emitted in order, so stop writing and let the
+                        // pipeline drain (upstream stops via rawQ).
+                        writeFailed.store(true,
+                                          std::memory_order_relaxed);
+                        stopped = true;
+                        break;
+                    }
                 }
+                if (stopped)
+                    break;
                 ++nextSeq;
             }
         }
@@ -196,15 +202,18 @@ StreamingMapper::tryRun(std::istream &r1, std::istream &r2,
             rawQ.close();
         } else if (!tooLarge &&
                    !writeFailed.load(std::memory_order_relaxed)) {
-            DriverResult res = mapper_.mapAll(parsed->pairs);
+            // The workers render each block right after mapping it,
+            // so only the SAM bytes travel on; the pairs and mappings
+            // are freed here, before a push that may wait.
+            DriverResult res = mapper_.mapAll(parsed->pairs, &sam);
             result.stats += res.stats;
             mapSeconds += res.timing.seconds;
             result.pairs += parsed->pairs.size();
             ++result.chunks;
-            m.pairs = std::move(parsed->pairs);
-            m.mappings = std::move(res.mappings);
+            m.sam = std::move(res.sam);
             m.trace = std::move(res.trace);
         }
+        parsed.reset();
         mappedQ.push(std::move(m));
     }
     mappedQ.close();

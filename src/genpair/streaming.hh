@@ -13,9 +13,12 @@
  *   N parser threads— full parse/encode of disjoint chunks (the
  *                     --io-threads knob)
  *   mapper (caller) — feeds each parsed chunk to the MapperEngine
- *                     worker pool, in arrival order
+ *                     worker pool, in arrival order; each engine block
+ *                     renders its own SAM records on its worker, and
+ *                     only those bytes leave the mapper
  *   writer thread   — sequence-numbered reorder buffer; emits trace
- *                     events and batched SAM strictly in input order
+ *                     events and commits each chunk's rendered blocks
+ *                     strictly in input order (it renders nothing)
  *
  * Stages hand off through bounded util::Channel queues, so peak
  * memory stays proportional to the queue capacities regardless of
@@ -97,7 +100,8 @@ class StreamingMapper
 
     /**
      * Map all pairs from @p r1/@p r2 (same-order FASTQ streams; plain
-     * or gzip) and write records through @p sam. Fatal error — naming
+     * or gzip) and write records through @p sam: the workers render
+     * through its const path, the writer thread commits. Fatal error — naming
      * the stream that ended early — if the streams yield different
      * record counts. @p trace_sink (optional) receives each chunk's
      * stage-event records; the driver must have been configured with

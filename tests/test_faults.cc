@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -381,10 +382,14 @@ class GoldenFaultTest : public FaultTest
             shards);
     }
 
-    /** One spine run over the whole corpus into a checked writer. */
+    /**
+     * One spine run over the whole corpus into a checked writer, at 2
+     * mapping threads. @p document receives the SAM header, which a
+     * separate writer renders first (one `sam.write` call).
+     */
     genpair::StreamRunStatus
     runSpine(genomics::SamWriter &sam, genomics::IngestError *error,
-             std::string *document)
+             std::string *document, u64 chunk_pairs = 64)
     {
         std::ostringstream header;
         {
@@ -393,8 +398,7 @@ class GoldenFaultTest : public FaultTest
         }
         genpair::DriverConfig config;
         config.threads = 2;
-        genpair::StreamingMapper mapper(ref_, *map_, config,
-                                        /*chunk_pairs=*/64,
+        genpair::StreamingMapper mapper(ref_, *map_, config, chunk_pairs,
                                         /*io_threads=*/2);
         std::istringstream r1(r1Text_), r2(r2Text_);
         genpair::StreamingResult result;
@@ -446,6 +450,57 @@ TEST_F(GoldenFaultTest, SamWriteFaultSurfacesAsWriteError)
         << error.message;
     EXPECT_NE(error.message.find("byte offset"), std::string::npos)
         << error.message;
+}
+
+TEST_F(GoldenFaultTest, SamWriteFaultOnALaterBlockLeavesAnInOrderPrefix)
+{
+    // One 4096-pair chunk holds the whole 300-pair corpus; at 2 threads
+    // the engine cuts it into 64-pair blocks, each rendered by its
+    // worker and committed by the writer thread as one stream write.
+    std::string header;
+    std::ostringstream clean;
+    genomics::SamWriter cleanSam(clean, ref_);
+    ASSERT_EQ(runSpine(cleanSam, nullptr, &header, 4096),
+              genpair::StreamRunStatus::kOk);
+    const std::string golden = header + clean.str();
+    ASSERT_EQ(util::md5Hex(golden), kGoldenSamMd5);
+
+    // Call 1 is the header writer, call 2 the chunk's first block: the
+    // fault fires on its second block.
+    std::ostringstream os;
+    genomics::SamWriter sam(os, ref_);
+    sam.checkWrites("corpus.sam", /*fatal_on_error=*/false);
+    genomics::IngestError error;
+    arm("sam.write:fail@nth=3");
+    EXPECT_EQ(runSpine(sam, &error, &header, 4096),
+              genpair::StreamRunStatus::kWriteError);
+    EXPECT_TRUE(sam.writeFailed());
+
+    // Exactly the first block landed: a strict, record-aligned prefix
+    // of the golden SAM, and the counters agree with it.
+    const std::string torn = os.str();
+    ASSERT_GT(torn.size(), 0u);
+    EXPECT_LT(header.size() + torn.size(), golden.size());
+    EXPECT_EQ(golden.compare(header.size(), torn.size(), torn), 0);
+    EXPECT_EQ(torn.back(), '\n');
+    EXPECT_EQ(sam.bytesWritten(), torn.size());
+    EXPECT_EQ(sam.recordsWritten(),
+              static_cast<u64>(std::count(torn.begin(), torn.end(), '\n')));
+    EXPECT_EQ(sam.recordsWritten(), 2u * 64u);
+    EXPECT_NE(error.message.find("corpus.sam"), std::string::npos)
+        << error.message;
+    EXPECT_NE(error.message.find("byte offset " +
+                                 std::to_string(torn.size())),
+              std::string::npos)
+        << error.message;
+
+    // Faults cleared, the same spine reproduces the golden bits.
+    util::FaultInjector::instance().reset();
+    std::ostringstream os2;
+    genomics::SamWriter sam2(os2, ref_);
+    ASSERT_EQ(runSpine(sam2, &error, &header, 4096),
+              genpair::StreamRunStatus::kOk);
+    EXPECT_EQ(util::md5Hex(header + os2.str()), kGoldenSamMd5);
 }
 
 TEST_F(GoldenFaultTest, TruncatedImageRejectedNotCrash)

@@ -310,6 +310,39 @@ TEST_F(StreamingTest, MatchesBatchDriver)
     EXPECT_EQ(streamed.stats.unmapped, batchResult.stats.unmapped);
 }
 
+TEST_F(StreamingTest, WriterCountsWorkerRenderedRecordsAndBytes)
+{
+    // The workers render and the writer thread only commits their
+    // blocks; the writer's counters must still see every record and
+    // byte, in input order, at every thread/chunk combination.
+    const std::string &expected = referenceSam();
+    const u64 pairs = dataset_.pairs.size();
+    for (u32 threads : { 1u, 4u }) {
+        for (u64 chunk : { u64{ 1 }, u64{ 64 }, u64{ 65536 } }) {
+            std::istringstream i1(fq1_), i2(fq2_);
+            std::ostringstream sam;
+            genomics::SamWriter writer(sam, *dataset_.reference);
+            writer.writeHeader();
+            const u64 headerBytes = writer.bytesWritten();
+            genpair::DriverConfig config;
+            config.threads = threads;
+            genpair::StreamingMapper mapper(*dataset_.reference, *map_,
+                                            config, chunk);
+            genpair::StreamingResult result;
+            ASSERT_EQ(mapper.tryRun(i1, i2, writer, result),
+                      genpair::StreamRunStatus::kOk);
+            EXPECT_EQ(result.pairs, pairs);
+            EXPECT_EQ(writer.recordsWritten(), 2 * pairs)
+                << "threads " << threads << " chunk " << chunk;
+            EXPECT_EQ(writer.bytesWritten(), sam.str().size())
+                << "threads " << threads << " chunk " << chunk;
+            EXPECT_GT(writer.bytesWritten(), headerBytes);
+            EXPECT_EQ(sam.str(), expected)
+                << "threads " << threads << " chunk " << chunk;
+        }
+    }
+}
+
 TEST_F(StreamingTest, StatsAccumulateAcrossChunks)
 {
     genpair::StreamingResult r;
