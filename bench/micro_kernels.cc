@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the software kernels backing the
- * hardware models: xxHash seeding, SeedMap lookup, the SHD mask kernel,
- * light alignment and the DP fallback aligner. These provide the
- * software-side MCUPS/throughput numbers quoted in EXPERIMENTS.md.
+ * hardware models: xxHash seeding, SeedMap lookup and query merge, the
+ * SHD mask kernel, light alignment and the DP fallback aligner. These
+ * provide the software-side MCUPS/throughput numbers quoted in
+ * EXPERIMENTS.md.
  *
  * The *Scalar / *Legacy rows are the pre-word-parallel implementations
  * (retained in-library as test oracles) so one run reports the
@@ -29,6 +30,7 @@
 #include "filters/sneakysnake.hh"
 #include "genomics/sam.hh"
 #include "genpair/light_align.hh"
+#include "genpair/pafilter.hh"
 #include "genpair/seeder.hh"
 #include "genpair/seedmap.hh"
 #include "simdata/genome_generator.hh"
@@ -102,6 +104,37 @@ BM_SeedMapLookup(benchmark::State &state)
     state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
 BENCHMARK(BM_SeedMapLookup);
+
+/**
+ * The SeedMap query of one read: three seed lookups whose pre-sorted
+ * location lists are merged into deduplicated candidate read starts
+ * (genpair::queryCandidatesInto into a reused vector). items_per_second
+ * counts reads.
+ */
+void
+BM_QueryCandidates(benchmark::State &state)
+{
+    const genpair::SeedMapView map = sharedMap().view();
+    genpair::PartitionedSeeder seeder(map);
+    util::Pcg32 rng(5);
+    std::vector<genpair::ReadSeeds> seeds;
+    for (int i = 0; i < 1024; ++i) {
+        auto read = sharedRef().chromosome(0).sub(rng.below(900000), 150);
+        seeds.push_back(seeder.extract(read));
+    }
+    std::vector<GlobalPos> candidates;
+    genpair::QueryWork work;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        candidates.clear();
+        genpair::queryCandidatesInto(map, seeds[i++ & 1023], work,
+                                     candidates);
+        benchmark::DoNotOptimize(candidates.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK(BM_QueryCandidates);
 
 void
 BM_ShdMasks(benchmark::State &state)

@@ -337,12 +337,12 @@ class MonolithPipeline
             leftMap.mapped = true;
             leftMap.pos = best.left.pos;
             leftMap.score = best.left.score;
-            leftMap.cigar = best.left.cigar;
+            leftMap.cigar = best.left.cigar();
             leftMap.reverse = false;
             rightMap.mapped = true;
             rightMap.pos = best.right.pos;
             rightMap.score = best.right.score;
-            rightMap.cigar = best.right.cigar;
+            rightMap.cigar = best.right.cigar();
             rightMap.reverse = true;
             if (best.read1IsLeft) {
                 out.first = std::move(leftMap);

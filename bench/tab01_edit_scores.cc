@@ -41,7 +41,7 @@ main()
 
     // Mismatch-only variations.
     for (u32 mm = 0; mm <= 5; ++mm) {
-        i32 score = sr.scoreFromCounts(n - mm, mm, {});
+        i32 score = sr.scoreFromCounts(n - mm, mm);
         if (score >= threshold) {
             std::string label = mm == 0 ? "None"
                                         : std::to_string(mm) + " Mismatch" +
@@ -51,7 +51,7 @@ main()
     }
     // Consecutive-deletion variations.
     for (u32 k = 1; k <= 8; ++k) {
-        i32 score = sr.scoreFromCounts(n, 0, { k });
+        i32 score = sr.scoreFromCounts(n, 0, k);
         if (score >= threshold) {
             rows.push_back({ std::to_string(k) +
                                  (k == 1 ? " Deletion"
@@ -61,7 +61,7 @@ main()
     }
     // Consecutive-insertion variations.
     for (u32 k = 1; k <= 8; ++k) {
-        i32 score = sr.scoreFromCounts(n - k, 0, { k });
+        i32 score = sr.scoreFromCounts(n - k, 0, k);
         if (score >= threshold) {
             rows.push_back({ std::to_string(k) +
                                  (k == 1 ? " Insertion"
@@ -72,7 +72,7 @@ main()
     // Two-type combinations (the paper's table bottoms out at one).
     for (u32 mm = 1; mm <= 2; ++mm) {
         for (u32 k = 1; k <= 3; ++k) {
-            i32 score = sr.scoreFromCounts(n - mm, mm, { k });
+            i32 score = sr.scoreFromCounts(n - mm, mm, k);
             if (score >= threshold) {
                 rows.push_back({ std::to_string(mm) + " Mismatch & " +
                                      std::to_string(k) + " Deletion",
@@ -126,7 +126,7 @@ main()
         genomics::DnaSequence read = ref.window(1000, 75);
         read.append(ref.windowView(1075 + k, 75));
         check(std::to_string(k) + " Deletion(s)", read,
-              sr.scoreFromCounts(150, 0, { k }));
+              sr.scoreFromCounts(150, 0, k));
     }
     verify.print("Light Alignment vs analytic scores");
     return 0;

@@ -66,6 +66,29 @@ run_step(${GPX_MAPEVAL} --ref ${WORK_DIR}/sim.fa
     --sam ${WORK_DIR}/out.sam --truth ${WORK_DIR}/sim.truth.tsv
     --min-correct 90)
 
+# Reads shorter than the 50 bp seed (adapter-trimmed input) must not
+# abort the mapper: a 10 bp pair, an empty pair and a 150/10 bp pair
+# (read 1 of the first simulated pair) each come out as two records.
+file(STRINGS ${WORK_DIR}/sim_1.fq LONG_R1 LIMIT_COUNT 4)
+list(GET LONG_R1 1 LONG_SEQ)
+list(GET LONG_R1 3 LONG_QUAL)
+file(WRITE ${WORK_DIR}/short_1.fq
+    "@ten\nACGTACGTAC\n+\nIIIIIIIIII\n@empty\n\n+\n\n"
+    "@long\n${LONG_SEQ}\n+\n${LONG_QUAL}\n")
+file(WRITE ${WORK_DIR}/short_2.fq
+    "@ten\nTTGCATGCAA\n+\nIIIIIIIIII\n@empty\n\n+\n\n"
+    "@long\nACGTTGCAAC\n+\nIIIIIIIIII\n")
+run_step(${GPX_MAP} --ref ${WORK_DIR}/sim.fa --index ${WORK_DIR}/sim.gpx
+    --r1 ${WORK_DIR}/short_1.fq --r2 ${WORK_DIR}/short_2.fq
+    --out ${WORK_DIR}/short.sam --threads 2)
+file(STRINGS ${WORK_DIR}/short.sam SHORT_RECORDS REGEX "^[^@]")
+list(LENGTH SHORT_RECORDS SHORT_COUNT)
+if(NOT SHORT_COUNT EQUAL 6)
+    message(FATAL_ERROR
+        "gpx_map wrote ${SHORT_COUNT} records for 3 short-read pairs, "
+        "expected 6")
+endif()
+
 # --stats-json must carry the full PipelineStats, including the
 # per-stage counters of the stage graph, the fallback's DP lane fill
 # and the I/O spine's stall accounting (reader-starved vs

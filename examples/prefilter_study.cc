@@ -91,7 +91,7 @@ main()
             std::printf("\n%s: light-aligned at %llu, score %d, CIGAR %s",
                         cand.label,
                         static_cast<unsigned long long>(r.pos), r.score,
-                        r.cigar.toString().c_str());
+                        r.cigar().toString().c_str());
         else
             std::printf("\n%s: not aligned (gate or light-align reject)",
                         cand.label);

@@ -135,30 +135,29 @@ FastqReader::tryNext(Read &read, std::string *error)
             *error = lastError_;
         return FastqParse::kError;
     };
-    std::string header, seq, plus, qual;
-    while (lines_.getline(header)) {
-        chompCr(header);
-        if (header.empty())
+    while (lines_.getline(header_)) {
+        chompCr(header_);
+        if (header_.empty())
             continue;
-        if (header[0] != '@')
+        if (header_[0] != '@')
             return fail(util::detail::cat(
                 "malformed FASTQ header at record ",
                 recordBase_ + records_ + 1, ": expected '@', got '",
-                header.substr(0, 40), "'"));
-        if (!lines_.getline(seq) || !lines_.getline(plus) ||
-            !lines_.getline(qual)) {
+                header_.substr(0, 40), "'"));
+        if (!lines_.getline(seq_) || !lines_.getline(plus_) ||
+            !lines_.getline(qual_)) {
             if (!lines_.error().empty())
                 return fail(lines_.error());
             return fail(util::detail::cat(
                 "truncated FASTQ record: EOF mid-record at record ",
-                recordBase_ + records_ + 1, " (header '", header, "')"));
+                recordBase_ + records_ + 1, " (header '", header_, "')"));
         }
-        chompCr(seq);
-        std::size_t end = header.find_first_of(" \t", 1);
-        read.name = header.substr(
+        chompCr(seq_);
+        std::size_t end = header_.find_first_of(" \t", 1);
+        read.name = header_.substr(
             1, end == std::string::npos ? end : end - 1);
         u64 ambiguousBefore = stats_.ambiguousBases;
-        read.seq = DnaSequence(seq, &stats_.ambiguousBases);
+        read.seq = DnaSequence(seq_, &stats_.ambiguousBases);
         if (stats_.ambiguousBases > ambiguousBefore &&
             claimAmbiguousWarn()) {
             gpx_warn("FASTQ ingestion: ambiguous (non-ACGT) bases encoded "

@@ -131,6 +131,12 @@ class FastqReader
     std::atomic<bool> *sharedWarn_;
     bool warnedAmbiguous_ = false;
     bool poisoned_ = false;
+    // Line buffers of tryNext(), kept so their capacity carries over
+    // from record to record.
+    std::string header_;
+    std::string seq_;
+    std::string plus_;
+    std::string qual_;
     std::string lastError_;
 };
 

@@ -14,17 +14,15 @@ SliceScanner::scan(u64 max_records, std::string &text, bool &partial_tail)
     if (eof_)
         return 0;
     u64 records = 0;
-    std::string line;
-    std::string record; // staged so a source failure drops the tail
     while (records < max_records) {
-        record.clear();
+        record_.clear();
         bool haveHeader = false;
-        while (lines_.getline(line)) {
-            std::size_t len = line.size();
-            if (len > 0 && line.back() == '\r')
+        while (lines_.getline(line_)) {
+            std::size_t len = line_.size();
+            if (len > 0 && line_.back() == '\r')
                 --len; // CR-stripped emptiness, same test as the parser
-            record.append(line);
-            record.push_back('\n');
+            record_.append(line_);
+            record_.push_back('\n');
             if (len > 0) {
                 haveHeader = true;
                 break;
@@ -35,16 +33,16 @@ SliceScanner::scan(u64 max_records, std::string &text, bool &partial_tail)
             // Trailing blank lines are part of the stream (the parser
             // skips them identically); a source failure keeps nothing.
             if (lines_.error().empty())
-                text.append(record);
+                text.append(record_);
             return records;
         }
         bool truncated = false;
         for (int i = 0; i < 3 && !truncated; ++i) {
-            if (!lines_.getline(line)) {
+            if (!lines_.getline(line_)) {
                 truncated = true;
             } else {
-                record.append(line);
-                record.push_back('\n');
+                record_.append(line_);
+                record_.push_back('\n');
             }
         }
         if (truncated) {
@@ -52,12 +50,12 @@ SliceScanner::scan(u64 max_records, std::string &text, bool &partial_tail)
             if (lines_.error().empty()) {
                 // Genuine EOF mid-record: ship the tail so the parse
                 // worker reproduces the serial truncation diagnostic.
-                text.append(record);
+                text.append(record_);
                 partial_tail = true;
             }
             return records;
         }
-        text.append(record);
+        text.append(record_);
         ++records;
     }
     return records;

@@ -121,6 +121,11 @@ class SliceScanner
   private:
     util::LineReader lines_;
     bool eof_ = false;
+    // Per-call buffers kept as members so their capacity carries over
+    // (the chunker scans one record per call). record_ stages a record
+    // so a source failure drops the tail.
+    std::string line_;
+    std::string record_;
 };
 
 /**

@@ -229,8 +229,12 @@ SamWriter::renderRecord(std::string &out, const Read &read,
     p = putInt(p, tlen);
     *p++ = '\t';
     // Sequence is stored in original orientation; SAM wants the
-    // reference-forward orientation for reverse-mapped reads.
-    p = putSeq(p, read.seq, mapping.mapped && mapping.reverse);
+    // reference-forward orientation for reverse-mapped reads. An empty
+    // read has no bases to store: SEQ is '*'.
+    if (read.seq.empty())
+        *p++ = '*';
+    else
+        p = putSeq(p, read.seq, mapping.mapped && mapping.reverse);
     p = putText(p, "\t*\tAS:i:");
     p = putInt(p, mapping.score);
     *p++ = '\n';

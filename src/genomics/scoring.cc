@@ -6,17 +6,6 @@ namespace gpx {
 namespace genomics {
 
 i32
-ScoringScheme::scoreFromCounts(u32 matches, u32 mismatches,
-                               const std::vector<u32> &gaps) const
-{
-    i64 score = static_cast<i64>(matches) * match -
-                static_cast<i64>(mismatches) * mismatch;
-    for (u32 g : gaps)
-        score -= gapCost(g);
-    return static_cast<i32>(score);
-}
-
-i32
 ScoringScheme::scoreAlignment(const DnaSequence &read, const DnaSequence &ref,
                               const Cigar &cigar) const
 {

@@ -51,15 +51,22 @@ struct ScoringScheme
     }
 
     /**
-     * Score of an alignment with the given composition.
+     * Score of an alignment with the given composition: the
+     * single-edit-type shapes of paper Table 1 plus their combinations
+     * with mismatches.
      *
      * @param matches Number of exactly matching bases.
      * @param mismatches Number of mismatching bases.
-     * @param gaps Lengths of each contiguous gap (insertions or
-     *             deletions), each charged the affine cost.
+     * @param gap Length of the one contiguous gap (insertion or
+     *            deletion run), charged the affine cost; 0 for none.
      */
-    i32 scoreFromCounts(u32 matches, u32 mismatches,
-                        const std::vector<u32> &gaps) const;
+    i32
+    scoreFromCounts(u32 matches, u32 mismatches, u32 gap = 0) const
+    {
+        return static_cast<i32>(static_cast<i64>(matches) * match -
+                                static_cast<i64>(mismatches) * mismatch -
+                                gapCost(gap));
+    }
 
     /**
      * Score a CIGAR against concrete sequences; M runs are split into

@@ -8,10 +8,40 @@
 namespace gpx {
 namespace genpair {
 
-using align::HammingMask;
 using genomics::Cigar;
 using genomics::CigarOp;
 using genomics::DnaView;
+
+Cigar
+LightResult::cigar() const
+{
+    // At most three runs, none of them merging (a gap is never empty),
+    // so one reserved vector holds the whole CIGAR.
+    std::vector<genomics::CigarElem> elems;
+    if (!aligned)
+        return Cigar(std::move(elems));
+    elems.reserve(3);
+    auto run = [&](CigarOp op, u32 len) {
+        if (len > 0)
+            elems.push_back({ op, len });
+    };
+    switch (edit.kind) {
+    case LightEdit::Kind::Mismatches:
+        run(CigarOp::Match, readLen);
+        break;
+    case LightEdit::Kind::Deletion:
+        run(CigarOp::Match, edit.split);
+        run(CigarOp::Deletion, edit.gap);
+        run(CigarOp::Match, readLen - edit.split);
+        break;
+    case LightEdit::Kind::Insertion:
+        run(CigarOp::Match, edit.split);
+        run(CigarOp::Insertion, edit.gap);
+        run(CigarOp::Match, readLen - edit.gap - edit.split);
+        break;
+    }
+    return Cigar(std::move(elems));
+}
 
 LightResult
 LightAligner::evaluateHypotheses(u32 read_len, u32 center,
@@ -19,36 +49,37 @@ LightAligner::evaluateHypotheses(u32 read_len, u32 center,
                                  const u32 *suffix, u32 stride) const
 {
     const u32 n = read_len;
-    const u32 e = params_.maxShift;
+    const i32 e = static_cast<i32>(params_.maxShift);
     const i32 minScore = params_.minScoreFor(n);
-    LightResult best;
-
-    auto consider = [&](i32 score, GlobalPos rel_start, Cigar cigar) {
-        if (score > best.score || !best.aligned) {
-            best.aligned = true;
-            best.score = score;
-            best.pos = rel_start;
-            best.cigar = std::move(cigar);
-        }
+    const genomics::ScoringScheme &scoring = params_.scoring;
+    auto stat = [e, stride](const u32 *array, i32 s) {
+        return array[static_cast<std::size_t>(s + e) * stride];
     };
-    best.aligned = false;
+
+    // Every shift as class 1, every ordered pair of distinct shifts as
+    // class 2: (2e+1) + (2e+1)(2e) hypotheses.
+    LightResult best;
+    best.readLen = n;
+    best.hypothesesTried = static_cast<u32>((2 * e + 1) * (2 * e + 1));
+    // A later hypothesis replaces the winner only with a strictly
+    // higher score, so the first best-scoring one in visit order wins.
+    auto keep = [&](i32 score, i32 shift, LightEdit edit) {
+        if (best.aligned && score <= best.score)
+            return;
+        best.aligned = true;
+        best.score = score;
+        best.pos = static_cast<GlobalPos>(static_cast<i64>(center) + shift);
+        best.edit = edit;
+    };
 
     // Hypothesis class 1: scattered mismatches only, at each shift.
-    for (i32 s = -static_cast<i32>(e); s <= static_cast<i32>(e); ++s) {
-        ++best.hypothesesTried;
-        u32 mm = n - popcount[static_cast<std::size_t>(
-                          s + static_cast<i32>(e)) *
-                      stride];
+    for (i32 s = -e; s <= e; ++s) {
+        const u32 mm = n - stat(popcount, s);
         if (mm > params_.maxMismatches)
             continue;
-        i32 score = params_.scoring.scoreFromCounts(n - mm, mm, {});
-        if (score < minScore)
-            continue;
-        Cigar cigar;
-        cigar.push(CigarOp::Match, n);
-        consider(score, static_cast<GlobalPos>(
-                            static_cast<i64>(center) + s),
-                 std::move(cigar));
+        const i32 score = scoring.scoreFromCounts(n - mm, mm);
+        if (score >= minScore)
+            keep(score, s, {});
     }
 
     // Hypothesis class 2: one run of k consecutive insertions/deletions.
@@ -57,58 +88,33 @@ LightAligner::evaluateHypotheses(u32 read_len, u32 center,
     // insertion. Seeds sit at different read offsets, so the prefix mask
     // is not always shift 0 (candidate positions can be displaced by the
     // gap itself).
-    for (i32 s1 = -static_cast<i32>(e); s1 <= static_cast<i32>(e); ++s1) {
-        for (i32 s2 = -static_cast<i32>(e); s2 <= static_cast<i32>(e);
-             ++s2) {
+    for (i32 s1 = -e; s1 <= e; ++s1) {
+        const u32 pre = stat(prefix, s1);
+        for (i32 s2 = -e; s2 <= e; ++s2) {
             if (s1 == s2)
                 continue;
-            ++best.hypothesesTried;
-            u32 pre = prefix[static_cast<std::size_t>(
-                                 s1 + static_cast<i32>(e)) *
-                             stride];
-            u32 suf = suffix[static_cast<std::size_t>(
-                                 s2 + static_cast<i32>(e)) *
-                             stride];
+            const u32 suf = stat(suffix, s2);
             if (s2 > s1) {
                 // Deletion of k reference bases after read position p.
-                u32 k = static_cast<u32>(s2 - s1);
+                const u32 k = static_cast<u32>(s2 - s1);
                 if (pre + suf < n)
                     continue;
-                i32 score = params_.scoring.scoreFromCounts(
-                    n, 0, { k });
-                if (score < minScore)
-                    continue;
-                u32 p = n - suf;
-                Cigar cigar;
-                cigar.push(CigarOp::Match, p);
-                cigar.push(CigarOp::Deletion, k);
-                cigar.push(CigarOp::Match, n - p);
-                consider(score,
-                         static_cast<GlobalPos>(
-                             static_cast<i64>(center) + s1),
-                         std::move(cigar));
+                const i32 score = scoring.scoreFromCounts(n, 0, k);
+                if (score >= minScore)
+                    keep(score, s1,
+                         { LightEdit::Kind::Deletion, n - suf, k });
             } else {
                 // Insertion of k read bases after read position p.
-                u32 k = static_cast<u32>(s1 - s2);
-                if (k >= n)
+                const u32 k = static_cast<u32>(s1 - s2);
+                if (k >= n || pre + suf < n - k)
                     continue;
-                if (pre + suf < n - k)
-                    continue;
-                i32 score = params_.scoring.scoreFromCounts(
-                    n - k, 0, { k });
+                const i32 score = scoring.scoreFromCounts(n - k, 0, k);
                 if (score < minScore)
                     continue;
                 u32 p = suf <= n - k ? n - k - suf : 0;
                 if (p > pre)
                     p = pre; // keep the prefix claim honest
-                Cigar cigar;
-                cigar.push(CigarOp::Match, p);
-                cigar.push(CigarOp::Insertion, k);
-                cigar.push(CigarOp::Match, n - k - p);
-                consider(score,
-                         static_cast<GlobalPos>(
-                             static_cast<i64>(center) + s1),
-                         std::move(cigar));
+                keep(score, s1, { LightEdit::Kind::Insertion, p, k });
             }
         }
     }

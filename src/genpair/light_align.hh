@@ -57,16 +57,39 @@ struct LightAlignParams
     }
 };
 
+/**
+ * The one edit run a light alignment places (paper Table 1): scattered
+ * mismatches only, or one run of @p gap consecutive deletions or
+ * insertions after read position @p split. Compact, so the hypothesis
+ * search keeps its winner without building a CIGAR.
+ */
+struct LightEdit
+{
+    enum class Kind : u8
+    {
+        Mismatches, ///< no gap: the read aligns ungapped
+        Deletion,   ///< @p gap reference bases skipped
+        Insertion,  ///< @p gap extra read bases
+    };
+    Kind kind = Kind::Mismatches;
+    u32 split = 0; ///< read bases before the gap (p)
+    u32 gap = 0;   ///< gap length (k)
+};
+
 /** Result of one light alignment attempt. */
 struct LightResult
 {
     bool aligned = false;
     i32 score = 0;
-    genomics::Cigar cigar;
     /** Final alignment start (candidate start shifts for deletions). */
     GlobalPos pos = kInvalidPos;
     /** Hypotheses evaluated (hardware cycles model input). */
     u32 hypothesesTried = 0;
+    u32 readLen = 0;
+    LightEdit edit; ///< the winner's edit (meaningful when aligned)
+
+    /** The winner's alignment as a CIGAR; empty when not aligned. */
+    genomics::Cigar cigar() const;
 };
 
 /**
@@ -177,19 +200,22 @@ class LightAligner
                             const genomics::DnaView &window,
                             u32 center) const;
 
-  private:
     /**
      * Hypothesis evaluation over per-shift mask statistics — the
      * shared core of every alignment form. The search only ever needs
      * the three statistics per shift, never raw mask bits, which is
      * what lets the batch kernel hand lane-major stat arrays straight
-     * in: entry s of each array lives at [s * stride].
+     * in: entry s of each array lives at [s * stride]. Every score
+     * comes from counts and nothing is allocated; the winner is the
+     * first best-scoring hypothesis in visit order. Public for the
+     * oracle tests.
      */
     LightResult evaluateHypotheses(u32 read_len, u32 center,
                                    const u32 *popcount,
                                    const u32 *prefix, const u32 *suffix,
                                    u32 stride) const;
 
+  private:
     /** Scalar datapath over prebuilt read planes. */
     LightResult alignPlanes(const align::BitPlanes &read,
                             GlobalPos candidate,

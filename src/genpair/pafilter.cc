@@ -18,21 +18,41 @@ std::size_t
 queryCandidatesInto(const SeedMapView &map, const ReadSeeds &seeds,
                     QueryWork &work, std::vector<GlobalPos> &out)
 {
-    const std::size_t start = out.size();
-    for (const Seed &seed : seeds) {
+    // One cursor per seed over its pre-sorted location list, starting
+    // at the first location that leaves a non-negative read start.
+    constexpr u64 kDone = ~u64{ 0 };
+    const u32 *cur[3];
+    const u32 *end[3];
+    u32 off[3];
+    u64 head[3];
+    auto advance = [&](std::size_t s) {
+        head[s] = cur[s] == end[s] ? kDone : u64{ *cur[s]++ } - off[s];
+    };
+    for (std::size_t s = 0; s < 3; ++s) {
         ++work.seedLookups;
-        auto span = map.lookup(seed.hash);
+        const auto span = map.lookup(seeds[s].hash);
         work.locationsFetched += span.size();
-        for (u32 loc : span) {
-            if (loc >= seed.offsetInRead)
-                out.push_back(loc - seed.offsetInRead);
-        }
+        off[s] = seeds[s].offsetInRead;
+        end[s] = span.data() + span.size();
+        cur[s] = std::lower_bound(span.data(), end[s], off[s]);
+        advance(s);
     }
-    // Three sorted lists concatenated; sort + dedupe. The hardware merges
-    // the pre-sorted lists on the fly (§4.4); the result is identical.
-    auto begin = out.begin() + static_cast<std::ptrdiff_t>(start);
-    std::sort(begin, out.end());
-    out.erase(std::unique(begin, out.end()), out.end());
+
+    // Three-way merge of the read-start lists, dropping duplicates as
+    // they meet (paper §4.4).
+    const std::size_t start = out.size();
+    u64 last = kDone;
+    for (;;) {
+        const std::size_t s = head[0] <= head[1]
+                                  ? (head[0] <= head[2] ? 0 : 2)
+                                  : (head[1] <= head[2] ? 1 : 2);
+        const u64 v = head[s];
+        if (v == kDone)
+            break;
+        if (v != last)
+            out.push_back(last = v);
+        advance(s);
+    }
     return out.size() - start;
 }
 

@@ -3,7 +3,8 @@
  * SeedMap Query merging and Paired-Adjacency Filtering (paper §4.4-4.5).
  *
  * The query stage turns the three seed location lists of a read into one
- * sorted, deduplicated list of candidate *read start* positions. The
+ * sorted, deduplicated list of candidate *read start* positions by
+ * merging the pre-sorted lists on the fly, as the query unit does. The
  * Paired-Adjacency filter then co-iterates the two reads' candidate lists
  * and keeps only pairs whose distance is within the insert threshold
  * delta — the step that replaces DP chaining for paired-end reads.
@@ -49,9 +50,10 @@ std::vector<GlobalPos> queryCandidates(const SeedMapView &map,
 
 /**
  * queryCandidates() appending into @p out (whose storage is reused
- * across calls): the candidates are appended at the tail, then that
- * appended range alone is sorted and deduplicated. Returns how many
- * candidates remain appended. The CSR-batched QueryStage packs every
+ * across calls): the three lists, each from its first location at or
+ * past the seed's offset in the read, are merged on the fly into the
+ * tail of @p out, sorted and duplicate-free. Returns how many
+ * candidates were appended. The CSR-batched QueryStage packs every
  * lane of a PairBatch into one growing vector through this form.
  */
 std::size_t queryCandidatesInto(const SeedMapView &map,

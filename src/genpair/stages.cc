@@ -115,18 +115,27 @@ runSeedStage(const StageContext &ctx, PairBatch &batch)
     StageCounters &sc = counters(ctx, StageId::Seed);
     ++sc.batches;
     sc.itemsIn += batch.size;
-    sc.itemsOut += batch.size;
 
+    const u64 seedLen = ctx.map.params().seedLen;
     for (u64 i = 0; i < batch.size; ++i) {
         ++ctx.stats.pairsTotal;
         const genomics::ReadPair &pair = batch.pairs[i];
         batch.rc1[i].assignRevComp(pair.first.seq);
         batch.rc2[i].assignRevComp(pair.second.seq);
+        // A read shorter than one seed (empty included) has no
+        // partitioned seeds: fallback exit 1, like a pair whose seeds
+        // all miss.
+        if (pair.first.seq.size() < seedLen ||
+            pair.second.seq.size() < seedLen) {
+            batch.route[i] = PairRoute::SeedMiss;
+            continue;
+        }
         batch.seeds[4 * i + 0] = ctx.seeder.extract(pair.first.seq);
         batch.seeds[4 * i + 1] = ctx.seeder.extract(batch.rc2[i]);
         batch.seeds[4 * i + 2] = ctx.seeder.extract(pair.second.seq);
         batch.seeds[4 * i + 3] = ctx.seeder.extract(batch.rc1[i]);
     }
+    sc.itemsOut += pendingCount(batch);
 }
 
 void
@@ -142,6 +151,17 @@ runQueryStage(const StageContext &ctx, PairBatch &batch)
     batch.candOffsets.push_back(0);
 
     for (u64 i = 0; i < batch.size; ++i) {
+        if (batch.route[i] != PairRoute::Pending) {
+            // Routed by the seed stage: no seeds, so no lookups and
+            // four empty candidate lanes.
+            batch.candOffsets.insert(batch.candOffsets.end(), 4,
+                                     batch.candidates.size());
+            if (batch.trace) {
+                batch.trace[i].seedHash = {};
+                batch.trace[i].locCount = {};
+            }
+            continue;
+        }
         u64 total = 0;
         for (u32 lane = 0; lane < 4; ++lane) {
             total += queryCandidatesInto(ctx.map,
@@ -303,15 +323,18 @@ placePair(PairMapping &pm, MappingPath path, Mapping left, Mapping right,
     }
 }
 
-/** A light-alignment winner as a Mapping (its CIGAR moved out). */
+/**
+ * A placed light-alignment winner as a Mapping: the one CIGAR built
+ * from its compact edit (losing hypotheses never get one).
+ */
 inline Mapping
-lightMapping(LightResult &r)
+lightMapping(const LightResult &r)
 {
     Mapping m;
     m.mapped = true;
     m.pos = r.pos;
     m.score = r.score;
-    m.cigar = std::move(r.cigar);
+    m.cigar = r.cigar();
     return m;
 }
 

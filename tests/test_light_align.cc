@@ -2,12 +2,18 @@
  * @file
  * Unit and property tests for Light Alignment: every paper Table 1 edit
  * class must be detected with the right score and CIGAR, and within its
- * edit bound the result must equal the DP optimum (paper §8 claim).
+ * edit bound the result must equal the DP optimum (paper §8 claim). The
+ * allocation-free hypothesis search is pinned against an oracle that
+ * builds a CIGAR for every hypothesis passing the score gate.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "align/affine.hh"
+#include "align/shd.hh"
 #include "genomics/reference.hh"
 #include "genpair/light_align.hh"
 #include "util/rng.hh"
@@ -20,6 +26,8 @@ using genomics::Reference;
 using genpair::LightAligner;
 using genpair::LightAlignParams;
 using genpair::LightResult;
+using genomics::Cigar;
+using genomics::CigarOp;
 
 /** Random reference with one chromosome. */
 Reference
@@ -61,7 +69,7 @@ TEST(LightAlign, ExactMatch)
     ASSERT_TRUE(r.aligned);
     EXPECT_EQ(r.score, 300);
     EXPECT_EQ(r.pos, 1000u);
-    EXPECT_EQ(r.cigar.toString(), "150M");
+    EXPECT_EQ(r.cigar().toString(), "150M");
 }
 
 TEST(LightAlign, OneMismatch)
@@ -106,7 +114,7 @@ TEST(LightAlign, SingleDeletion)
     LightResult r = f.aligner.align(read, 1000);
     ASSERT_TRUE(r.aligned);
     EXPECT_EQ(r.score, 286); // 300 - gapCost(1)
-    EXPECT_EQ(r.cigar.deletedBases(), 1u);
+    EXPECT_EQ(r.cigar().deletedBases(), 1u);
     EXPECT_EQ(r.pos, 1000u);
 }
 
@@ -118,7 +126,7 @@ TEST(LightAlign, FiveConsecutiveDeletions)
     LightResult r = f.aligner.align(read, 1000);
     ASSERT_TRUE(r.aligned);
     EXPECT_EQ(r.score, 278); // paper Table 1
-    EXPECT_EQ(r.cigar.deletedBases(), 5u);
+    EXPECT_EQ(r.cigar().deletedBases(), 5u);
 }
 
 TEST(LightAlign, SingleInsertion)
@@ -253,5 +261,236 @@ TEST_P(LightVsDp, ScoreMatchesDpOptimum)
 
 INSTANTIATE_TEST_SUITE_P(SingleEditClasses, LightVsDp,
                          ::testing::Range(0, 40));
+
+/** What the CIGAR-building oracle reports for one attempt. */
+struct OracleResult
+{
+    bool aligned = false;
+    i32 score = 0;
+    GlobalPos pos = kInvalidPos;
+    u32 hypothesesTried = 0;
+    Cigar cigar;
+    u32 ties = 0; ///< later hypotheses that matched the winning score
+};
+
+/**
+ * Oracle of LightAligner::evaluateHypotheses(): the enumeration that
+ * builds a CIGAR for every hypothesis passing the score gate and keeps
+ * the first best-scoring one, as the search did before it kept a
+ * compact edit.
+ */
+OracleResult
+cigarOracle(const LightAlignParams &params, u32 n, u32 center,
+            const u32 *popcount, const u32 *prefix, const u32 *suffix,
+            u32 stride)
+{
+    const i32 e = static_cast<i32>(params.maxShift);
+    const i32 minScore = params.minScoreFor(n);
+    auto at = [&](const u32 *array, i32 s) {
+        return array[static_cast<std::size_t>(s + e) * stride];
+    };
+    OracleResult best;
+    auto consider = [&](i32 score, i32 shift, Cigar cigar) {
+        if (best.aligned && score == best.score)
+            ++best.ties;
+        if (score > best.score || !best.aligned) {
+            best.ties = 0;
+            best.aligned = true;
+            best.score = score;
+            best.pos = static_cast<GlobalPos>(static_cast<i64>(center) +
+                                              shift);
+            best.cigar = std::move(cigar);
+        }
+    };
+    for (i32 s = -e; s <= e; ++s) {
+        ++best.hypothesesTried;
+        const u32 mm = n - at(popcount, s);
+        if (mm > params.maxMismatches)
+            continue;
+        const i32 score = params.scoring.scoreFromCounts(n - mm, mm);
+        if (score < minScore)
+            continue;
+        Cigar cigar;
+        cigar.push(CigarOp::Match, n);
+        consider(score, s, std::move(cigar));
+    }
+    for (i32 s1 = -e; s1 <= e; ++s1) {
+        for (i32 s2 = -e; s2 <= e; ++s2) {
+            if (s1 == s2)
+                continue;
+            ++best.hypothesesTried;
+            const u32 pre = at(prefix, s1);
+            const u32 suf = at(suffix, s2);
+            Cigar cigar;
+            if (s2 > s1) {
+                const u32 k = static_cast<u32>(s2 - s1);
+                if (pre + suf < n)
+                    continue;
+                const i32 score = params.scoring.scoreFromCounts(n, 0, k);
+                if (score < minScore)
+                    continue;
+                const u32 p = n - suf;
+                cigar.push(CigarOp::Match, p);
+                cigar.push(CigarOp::Deletion, k);
+                cigar.push(CigarOp::Match, n - p);
+                consider(score, s1, std::move(cigar));
+            } else {
+                const u32 k = static_cast<u32>(s1 - s2);
+                if (k >= n || pre + suf < n - k)
+                    continue;
+                const i32 score =
+                    params.scoring.scoreFromCounts(n - k, 0, k);
+                if (score < minScore)
+                    continue;
+                u32 p = suf <= n - k ? n - k - suf : 0;
+                if (p > pre)
+                    p = pre;
+                cigar.push(CigarOp::Match, p);
+                cigar.push(CigarOp::Insertion, k);
+                cigar.push(CigarOp::Match, n - k - p);
+                consider(score, s1, std::move(cigar));
+            }
+        }
+    }
+    return best;
+}
+
+void
+expectSame(const OracleResult &want, const LightResult &got)
+{
+    ASSERT_EQ(want.aligned, got.aligned);
+    EXPECT_EQ(want.hypothesesTried, got.hypothesesTried);
+    EXPECT_EQ(want.cigar.toString(), got.cigar().toString());
+    if (!want.aligned)
+        return;
+    EXPECT_EQ(want.score, got.score);
+    EXPECT_EQ(want.pos, got.pos);
+}
+
+/**
+ * Random per-shift statistics, lane-major with a random stride, near
+ * the acceptance edge so many hypotheses pass and scores tie often
+ * (several shifts with equal mismatch counts, deletions of equal k).
+ */
+class HypothesisOracle : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(HypothesisOracle, RandomStatsMatchCigarOracle)
+{
+    util::Pcg32 rng(GetParam() * 131 + 17);
+    Reference ref = randomRef(100, 1);
+    int tied = 0;
+    for (int iter = 0; iter < 200; ++iter) {
+        LightAlignParams params;
+        params.maxShift = 1 + rng.below(6);
+        params.maxMismatches = rng.below(5);
+        if (rng.below(2))
+            params.minScore = 150 + static_cast<i32>(rng.below(150));
+        LightAligner aligner(ref, params);
+
+        const u32 pick = rng.below(8);
+        const u32 n = pick == 0 ? rng.below(8) : pick == 1 ? 100 : 150;
+        const u32 masks = 2 * params.maxShift + 1;
+        const u32 stride = 1 + rng.below(4);
+        const u32 lane = rng.below(stride);
+        std::vector<u32> popcount(masks * stride, 0);
+        std::vector<u32> prefix(masks * stride, 0);
+        std::vector<u32> suffix(masks * stride, 0);
+        for (u32 m = 0; m < masks; ++m) {
+            const std::size_t at = static_cast<std::size_t>(m) * stride +
+                                   lane;
+            popcount[at] = n - std::min(n, rng.below(6));
+            prefix[at] = rng.below(n + 1);
+            // Often just enough suffix to close a gap hypothesis.
+            const u32 need = n - prefix[at];
+            const u32 slack = rng.below(4);
+            suffix[at] = rng.below(2) ? std::min(n, need + slack)
+                                      : rng.below(n + 1);
+        }
+        const u32 center = params.maxShift + rng.below(1000);
+        SCOPED_TRACE("iter=" + std::to_string(iter) +
+                     " n=" + std::to_string(n));
+        const LightResult got = aligner.evaluateHypotheses(
+            n, center, popcount.data() + lane, prefix.data() + lane,
+            suffix.data() + lane, stride);
+        const OracleResult want = cigarOracle(
+            params, n, center, popcount.data() + lane,
+            prefix.data() + lane, suffix.data() + lane, stride);
+        expectSame(want, got);
+        tied += want.ties > 0;
+    }
+    EXPECT_GT(tied, 0) << "no score ties exercised";
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, HypothesisOracle, ::testing::Range(0, 20));
+
+TEST(HypothesisOracle, RealReadsMatchCigarOracle)
+{
+    util::Pcg32 rng(99);
+    // Random bases with an (AC)* repeat over [3000, 3400): reads from
+    // the repeat match exactly at every even shift, so scores tie.
+    std::string bases = randomRef(6000, 5).chromosome(0).toString();
+    for (u32 i = 3000; i < 3400; ++i)
+        bases[i] = i % 2 ? 'C' : 'A';
+    Reference ref;
+    ref.addChromosome("chr1", DnaSequence(bases));
+    LightAlignParams params;
+    LightAligner aligner(ref, params);
+    const u32 e = params.maxShift;
+    int tied = 0;
+    for (int iter = 0; iter < 300; ++iter) {
+        GlobalPos pos = 100 + rng.below(5000);
+        const u32 split = 1 + rng.below(148);
+        const u32 k = 1 + rng.below(e);
+        DnaSequence read;
+        switch (rng.below(4)) {
+        case 0: // scattered mismatches
+            read = ref.window(pos, 150);
+            for (u32 m = rng.below(5); m > 0; --m) {
+                const u32 at = rng.below(150);
+                read.set(at, (read.at(at) + 1 + rng.below(3)) & 3u);
+            }
+            break;
+        case 1: // a deletion run
+            read = ref.window(pos, split);
+            read.append(ref.windowView(pos + split + k, 150 - split));
+            break;
+        case 2: // an insertion run
+            read = ref.window(pos, split);
+            for (u32 i = 0; i < k && read.size() < 150; ++i)
+                read.push(rng.below(4));
+            read.append(ref.windowView(pos + split, 150 - read.size()));
+            break;
+        default: // a read from the repeat
+            pos = 3050 + rng.below(150);
+            read = ref.window(pos, 150);
+            break;
+        }
+        ASSERT_EQ(read.size(), 150u);
+        // Candidates off by a few bases, like a seed behind the gap.
+        const GlobalPos cand = pos + rng.below(2 * e + 1) - e;
+        SCOPED_TRACE("iter=" + std::to_string(iter));
+
+        const genomics::DnaView window =
+            ref.windowView(cand - e, read.size() + 2 * e);
+        const auto masks = align::shiftedMasks(read, window, e, e);
+        std::vector<u32> popcount, prefix, suffix;
+        for (const auto &m : masks) {
+            popcount.push_back(m.popcount());
+            prefix.push_back(m.onesPrefix());
+            suffix.push_back(m.onesSuffix());
+        }
+        OracleResult want =
+            cigarOracle(params, 150, e, popcount.data(), prefix.data(),
+                        suffix.data(), 1);
+        expectSame(want, aligner.alignWindow(read, window, e));
+        if (want.aligned)
+            want.pos += cand - e; // window-relative -> global
+        expectSame(want, aligner.align(read, cand));
+        tied += want.ties > 0;
+    }
+    EXPECT_GT(tied, 0) << "no score ties exercised";
+}
 
 } // namespace

@@ -53,7 +53,7 @@ TEST_P(LightAlignLengths, ExactAndEditedReadsAlign)
     auto r = aligner.align(read, 5000);
     ASSERT_TRUE(r.aligned) << "len " << len;
     EXPECT_EQ(r.score, scoring.perfectScore(len));
-    EXPECT_EQ(r.cigar.querySpan(), len);
+    EXPECT_EQ(r.cigar().querySpan(), len);
 
     // One mismatch: still above the scaled threshold for len >= 100.
     read.set(len / 2, (read.at(len / 2) + 1) & 3u);
@@ -66,8 +66,8 @@ TEST_P(LightAlignLengths, ExactAndEditedReadsAlign)
     del.append(ref.windowView(5000 + len / 2 + 2, len - len / 2));
     auto rd = aligner.align(del, 5000);
     ASSERT_TRUE(rd.aligned) << "len " << len;
-    EXPECT_EQ(rd.cigar.deletedBases(), 2u);
-    EXPECT_EQ(rd.cigar.refSpan(), len + 2u);
+    EXPECT_EQ(rd.cigar().deletedBases(), 2u);
+    EXPECT_EQ(rd.cigar().refSpan(), len + 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(ReadLengths, LightAlignLengths,

@@ -75,6 +75,8 @@ writeRecord(std::ostream &os, const Reference &ref, const Read &read,
     std::string seq = mapping.mapped && mapping.reverse
                           ? read.seq.revComp().toString()
                           : read.seq.toString();
+    if (seq.empty())
+        seq = "*";
     u8 mapq = mapping.mapped ? 60 : 0;
 
     os << read.name << '\t' << flags << '\t' << rname << '\t' << pos1

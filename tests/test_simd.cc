@@ -606,7 +606,7 @@ TEST(Simd, LightAlignBatchMatchesScalar)
                 ASSERT_EQ(want.score, got[i].score);
                 ASSERT_EQ(want.pos, got[i].pos);
                 ASSERT_EQ(want.hypothesesTried, got[i].hypothesesTried);
-                ASSERT_EQ(want.cigar.toString(), got[i].cigar.toString());
+                ASSERT_EQ(want.cigar().toString(), got[i].cigar().toString());
             }
         }
     });
