@@ -19,6 +19,7 @@
 #include "genpair/seedmap.hh"
 #include "hwsim/module_models.hh"
 #include "simdata/datasets.hh"
+#include "util/json.hh"
 #include "util/simd.hh"
 #include "util/table.hh"
 #include "util/timer.hh"
@@ -90,34 +91,6 @@ measureProfile(MappingStack &s)
         s.seedmap->stats().queryWeightedLocations);
 }
 
-/** Escape a string for embedding in a JSON document. */
-inline std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-            break;
-        }
-    }
-    return out;
-}
-
 /**
  * The standard `"context"` block every bench JSON carries: which SIMD
  * backend the batch kernels dispatched to and why, so every recorded
@@ -131,7 +104,7 @@ simdContextJson()
     out += "\", \"simd_max\": \"";
     out += util::simdBackendName(util::maxSimdBackend());
     out += "\", \"simd_reason\": \"";
-    out += jsonEscape(util::simdBackendReason());
+    out += util::jsonEscape(util::simdBackendReason());
     out += "\"}";
     return out;
 }

@@ -140,7 +140,7 @@ main(int argc, char **argv)
             << "  \"systems\": [\n";
         for (std::size_t i = 0; i < systems.size(); ++i) {
             const auto &sys = systems[i];
-            out << "    {\"name\": \"" << bench::jsonEscape(sys.name)
+            out << "    {\"name\": \"" << util::jsonEscape(sys.name)
                 << "\", \"mbp_per_s\": " << num(sys.throughputMbps, 0)
                 << ", \"mm2\": " << num(sys.areaMm2, 1)
                 << ", \"watts\": " << num(sys.powerW, 1)

@@ -7,7 +7,7 @@
  * EXPERIMENTS.md.
  *
  * The *Scalar / *Legacy rows are the pre-word-parallel implementations
- * (retained in-library as test oracles) so one run reports the
+ * (the test oracles of tests/oracles) so one run reports the
  * before/after of every bit-parallel kernel. The checked-in baseline
  * BENCH_micro_kernels.json is produced with `--benchmark_format=json`;
  * scripts/check_kernel_regression.py gates CI against it.
@@ -33,6 +33,7 @@
 #include "genpair/pafilter.hh"
 #include "genpair/seeder.hh"
 #include "genpair/seedmap.hh"
+#include "oracles/oracles.hh"
 #include "simdata/genome_generator.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
@@ -210,16 +211,36 @@ const bool registeredShdBatch = [] {
     return true;
 }();
 
+/**
+ * The light-align stage's kernel: LightAligner::alignBatch() over a
+ * warm LightBatchScratch, as LightAlignStage runs it. Each iteration
+ * aligns 8 candidates of 150 bp reads with one mismatch: one full lane
+ * group under AVX-512, two under AVX2, eight one-lane groups under
+ * scalar. items_per_second counts candidates.
+ */
 void
 BM_LightAlign(benchmark::State &state)
 {
     genpair::LightAligner aligner(sharedRef(),
                                   genpair::LightAlignParams{});
-    auto read = sharedRef().chromosome(0).sub(20000, 150);
-    read.set(70, (read.at(70) + 1) & 3u);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(aligner.align(read, 20000));
-    state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+    constexpr u32 kLanes = 8;
+    std::vector<align::BitPlanes> planes(kLanes);
+    std::vector<genpair::LightBatchItem> items(kLanes);
+    for (u32 l = 0; l < kLanes; ++l) {
+        const GlobalPos pos = 20000 + 400 * l;
+        auto read = sharedRef().chromosome(0).sub(pos, 150);
+        read.set(70, (read.at(70) + 1) & 3u);
+        planes[l].assign(read);
+        items[l] = { &planes[l], pos };
+    }
+    genpair::LightBatchScratch scratch;
+    std::vector<genpair::LightResult> out(kLanes);
+    for (auto _ : state) {
+        aligner.alignBatch(items.data(), kLanes, scratch, out.data());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<i64>(state.iterations()) * kLanes);
 }
 BENCHMARK(BM_LightAlign);
 
@@ -377,8 +398,8 @@ BENCHMARK(BM_CandidateEditMyers);
 void
 BM_MinimizerExtractLegacy(benchmark::State &state)
 {
-    // The pre-refactor per-base/deque implementation, retained in the
-    // library as the scalar oracle.
+    // The pre-refactor per-base/deque implementation, the scalar
+    // oracle of tests/oracles.
     auto seq = sharedRef().chromosome(0).sub(80000, 10000);
     baseline::MinimizerParams params;
     for (auto _ : state)

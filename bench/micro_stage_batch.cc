@@ -31,6 +31,7 @@
 
 #include "common.hh"
 #include "genpair/pipeline.hh"
+#include "oracles/oracles.hh"
 #include "util/table.hh"
 #include "util/timer.hh"
 #include "util/version.hh"

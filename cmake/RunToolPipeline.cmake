@@ -102,6 +102,22 @@ foreach(key pairs_total light_aligned stages light_align fallback
     endif()
 endforeach()
 
+# --stats-json must stay valid JSON whatever the strings it echoes: the
+# SIMD reason repeats a user-set GPX_SIMD verbatim.
+run_step(${CMAKE_COMMAND} -E env "GPX_SIMD=bogus\"x"
+    ${GPX_MAP} --ref ${WORK_DIR}/sim.fa --index ${WORK_DIR}/sim.gpx
+    --r1 ${WORK_DIR}/short_1.fq --r2 ${WORK_DIR}/short_2.fq
+    --out ${WORK_DIR}/bogus.sam --stats-json ${WORK_DIR}/bogus.json)
+file(READ ${WORK_DIR}/bogus.json BOGUS_JSON)
+string(JSON BOGUS_REASON ERROR_VARIABLE json_err
+    GET "${BOGUS_JSON}" simd reason)
+if(json_err)
+    message(FATAL_ERROR "--stats-json is not valid JSON (${json_err})")
+endif()
+if(NOT BOGUS_REASON MATCHES "GPX_SIMD=bogus\"x")
+    message(FATAL_ERROR "simd reason '${BOGUS_REASON}' lost GPX_SIMD")
+endif()
+
 # --trace must produce a parseable gpx-stage-trace with one record per
 # mapped pair (1000 simulated pairs + the 2-line header).
 file(STRINGS ${WORK_DIR}/run.trace TRACE_LINES)

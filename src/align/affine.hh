@@ -75,17 +75,6 @@ AlignResult fitAlign(const genomics::DnaView &query,
                      const genomics::ScoringScheme &scheme, i32 band,
                      AlignScratch &scratch);
 
-/**
- * The seed (pre-optimization) fitting-alignment engine, kept verbatim
- * as the correctness oracle for the branchless banded engine above —
- * the same pattern the bit-parallel kernels use for their scalar
- * oracles. Also the honest "pre-refactor" side of bench/micro_stage_batch.
- */
-AlignResult fitAlignRef(const genomics::DnaView &query,
-                        const genomics::DnaView &target,
-                        const genomics::ScoringScheme &scheme,
-                        i32 band = -1);
-
 /** One fitting alignment of a batch (see fitAlignBatch). */
 struct FitTask
 {

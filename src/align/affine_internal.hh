@@ -9,7 +9,8 @@
  * are identical either way, which is what keeps the batch results
  * bit-identical to the oracles.
  *
- * Not installed as public API; include only from the align sources.
+ * Not public API; include only from the align sources and the DP
+ * oracle (tests/oracles/affine_ref.cc).
  */
 
 #ifndef GPX_ALIGN_AFFINE_INTERNAL_HH

@@ -90,9 +90,8 @@ std::vector<HammingMask> shiftedMasks(const genomics::DnaView &read,
 
 /**
  * shiftedMasks() over prebuilt planes, writing into @p out (resized to
- * 2e+1; per-mask word storage is reused). The scratch-based form the
- * batched LightAlignStage uses: the read's planes are computed once per
- * pair side and shared across every candidate of that pair.
+ * 2e+1; per-mask word storage is reused). The one-candidate form that
+ * ShdBatch reproduces lane by lane.
  */
 void shiftedMasksInto(const BitPlanes &read_planes,
                       const BitPlanes &window_planes, u32 center, u32 e,

@@ -52,15 +52,6 @@ void extractMinimizers(const genomics::DnaView &seq,
                        std::vector<Minimizer> &out);
 
 /**
- * The original per-base implementation (std::deque monotonic queue),
- * retained verbatim as the oracle the property tests and the
- * micro_kernels before/after rows compare against. Must produce a
- * stream identical to extractMinimizers().
- */
-std::vector<Minimizer> extractMinimizersScalar(const genomics::DnaView &seq,
-                                               const MinimizerParams &params);
-
-/**
  * Sorted minimizer table over a reference genome, in CSR form: sorted
  * unique hashes, one offset per hash into the entry table, and the
  * entries. The tables are spans, so the same type serves an index

@@ -1,6 +1,7 @@
 #include "baseline/mm2lite.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 
 #include "util/logging.hh"
@@ -153,58 +154,23 @@ Mm2Lite::finishRead(std::span<Mapping> mappings)
 std::vector<Mapping>
 Mm2Lite::mapRead(const Read &read)
 {
-    planRead(read);
-
-    std::vector<Mapping> mappings;
-    {
-        util::StageTimers::Scope scope(timers_, stages::kAlignment);
-        DnaSequence rc;
-        bool haveRc = false;
-        for (const auto &chain : plan_.chains) {
-            const DnaSequence *query = &read.seq;
-            if (chain.reverse) {
-                if (!haveRc) {
-                    rc = read.seq.revComp();
-                    haveRc = true;
-                }
-                query = &rc;
-            }
-            // Expected read start on the reference.
-            GlobalPos expect = chain.refStart > chain.queryStart
-                                   ? chain.refStart - chain.queryStart
-                                   : 0;
-            auto [wstart, wlen] = clampWindow(ref_, expect, query->size(),
-                                              params_.alignSlack);
-            if (wlen < query->size())
-                continue;
-            genomics::DnaView window = ref_.windowView(wstart, wlen);
-            // Band: the window only extends alignSlack around the chain
-            // diagonal, so a band of slack + indel headroom is lossless
-            // for any alignment the window can contain.
-            auto res = align::fitAlign(*query, window, params_.scoring,
-                                       static_cast<i32>(
-                                           2 * params_.alignSlack + 32),
-                                       alignScratch_);
-            dpWork_.alignCells += res.cellUpdates;
-            if (!res.valid || res.score < params_.minAlignScore)
-                continue;
-            Mapping m;
-            m.mapped = true;
-            m.pos = wstart + res.targetStart;
-            m.reverse = chain.reverse;
-            m.score = res.score;
-            m.cigar = std::move(res.cigar);
-            mappings.push_back(std::move(m));
-        }
-    }
-
-    mappings.resize(finishRead(mappings));
-    return mappings;
+    beginBatch(1);
+    stageRead(0, read);
+    alignStaged(1);
+    std::span<Mapping> mine(batch_.mappings.data(), batch_.mappingEnds[0]);
+    mine = mine.first(finishRead(mine));
+    return std::vector<Mapping>(std::make_move_iterator(mine.begin()),
+                                std::make_move_iterator(mine.end()));
 }
 
 Mapping
 Mm2Lite::alignAt(const DnaSequence &read, GlobalPos pos, u32 slack)
 {
+    // A scalar fitAlign, not a one-task batch: the production caller
+    // (LongReadMapper::alignAtStart) aligns one chunk at a time, each
+    // window placed from the previous chunk's end, so there is no batch
+    // to fill lanes with, and a one-task fitAlignBatch() would carry a
+    // full lane group's traceback matrix.
     util::StageTimers::Scope scope(timers_, stages::kAlignment);
     Mapping m;
     auto [wstart, wlen] = clampWindow(ref_, pos, read.size(), slack);
@@ -269,72 +235,74 @@ Mm2Lite::pairFromCandidates(std::span<const Mapping> cands1,
 PairMapping
 Mm2Lite::mapPair(const ReadPair &pair)
 {
-    auto cands1 = mapRead(pair.first);
-    auto cands2 = mapRead(pair.second);
-    return pairFromCandidates(cands1, cands2);
+    const ReadPair *one = &pair;
+    PairMapping out;
+    mapPairsBatch(&one, 1, &out);
+    return out;
 }
 
 void
-Mm2Lite::mapPairsBatch(const ReadPair *const *pairs, std::size_t count,
-                       PairMapping *out)
+Mm2Lite::beginBatch(std::size_t reads)
 {
-    // Plan every read of the batch (seeding + chaining, scalar) and
-    // stage one FitTask per surviving chain window, in the exact order
-    // the scalar loop would visit them, so the alignment phase hands
-    // one flat task list to the interleaved DP engine. Reads are 2 per
-    // pair, indexed [2 * p + side].
-    std::vector<align::FitTask> &tasks = batch_.tasks;
-    std::vector<TaskRef> &refs = batch_.refs;
-    std::vector<DnaSequence> &rcs = batch_.rcs;
-    tasks.clear();
-    refs.clear();
-    if (rcs.size() < 2 * count)
-        rcs.resize(2 * count);
-    for (std::size_t p = 0; p < count; ++p) {
-        for (u32 side = 0; side < 2; ++side) {
-            const u32 r = static_cast<u32>(2 * p + side);
-            const Read &read = side == 0 ? pairs[p]->first : pairs[p]->second;
-            planRead(read);
-            util::StageTimers::Scope scope(timers_, stages::kAlignment);
-            bool haveRc = false;
-            for (const Chain &chain : plan_.chains) {
-                const DnaSequence *query = &read.seq;
-                if (chain.reverse) {
-                    if (!haveRc) {
-                        rcs[r] = read.seq.revComp();
-                        haveRc = true;
-                    }
-                    query = &rcs[r];
-                }
-                GlobalPos expect = chain.refStart > chain.queryStart
-                                       ? chain.refStart - chain.queryStart
-                                       : 0;
-                auto [wstart, wlen] = clampWindow(
-                    ref_, expect, query->size(), params_.alignSlack);
-                if (wlen < query->size())
-                    continue;
-                align::FitTask ft;
-                ft.query = *query;
-                ft.target = ref_.windowView(wstart, wlen);
-                ft.band = static_cast<i32>(2 * params_.alignSlack + 32);
-                tasks.push_back(ft);
-                refs.push_back({ r, chain.reverse, wstart });
-            }
-        }
-    }
+    batch_.tasks.clear();
+    batch_.refs.clear();
+    if (batch_.rcs.size() < reads)
+        batch_.rcs.resize(reads);
+}
 
-    // Tasks are in read order, so the scalar epilogue, replayed in
-    // visit order, leaves each read's mappings in one contiguous group.
+void
+Mm2Lite::stageRead(u32 r, const Read &read)
+{
+    // One FitTask per surviving chain window, in chain order, so the
+    // alignment phase hands one flat task list to the interleaved DP
+    // engine.
+    planRead(read);
+    util::StageTimers::Scope scope(timers_, stages::kAlignment);
+    bool haveRc = false;
+    for (const Chain &chain : plan_.chains) {
+        const DnaSequence *query = &read.seq;
+        if (chain.reverse) {
+            if (!haveRc) {
+                batch_.rcs[r] = read.seq.revComp();
+                haveRc = true;
+            }
+            query = &batch_.rcs[r];
+        }
+        // Expected read start on the reference.
+        GlobalPos expect = chain.refStart > chain.queryStart
+                               ? chain.refStart - chain.queryStart
+                               : 0;
+        auto [wstart, wlen] =
+            clampWindow(ref_, expect, query->size(), params_.alignSlack);
+        if (wlen < query->size())
+            continue;
+        align::FitTask ft;
+        ft.query = *query;
+        ft.target = ref_.windowView(wstart, wlen);
+        // Band: the window only extends alignSlack around the chain
+        // diagonal, so a band of slack + indel headroom is lossless for
+        // any alignment the window can contain.
+        ft.band = static_cast<i32>(2 * params_.alignSlack + 32);
+        batch_.tasks.push_back(ft);
+        batch_.refs.push_back({ r, chain.reverse, wstart });
+    }
+}
+
+void
+Mm2Lite::alignStaged(std::size_t reads)
+{
+    // Tasks are in read order, so the epilogue, replayed in visit
+    // order, leaves each read's mappings in one contiguous group.
     std::vector<Mapping> &mappings = batch_.mappings;
     std::vector<u32> &ends = batch_.mappingEnds;
     mappings.clear();
-    ends.assign(2 * count, 0);
+    ends.assign(reads, 0);
     {
         util::StageTimers::Scope scope(timers_, stages::kAlignment);
         runBatchTasks();
-        for (std::size_t t = 0; t < tasks.size(); ++t) {
+        for (std::size_t t = 0; t < batch_.tasks.size(); ++t) {
             align::AlignResult &res = batch_.results[t];
-            const TaskRef &tr = refs[t];
+            const TaskRef &tr = batch_.refs[t];
             dpWork_.alignCells += res.cellUpdates;
             if (!res.valid || res.score < params_.minAlignScore)
                 continue;
@@ -349,7 +317,24 @@ Mm2Lite::mapPairsBatch(const ReadPair *const *pairs, std::size_t count,
         }
     }
     std::partial_sum(ends.begin(), ends.end(), ends.begin());
+}
 
+void
+Mm2Lite::mapPairsBatch(const ReadPair *const *pairs, std::size_t count,
+                       PairMapping *out)
+{
+    // Plan and stage every read of the batch (seeding + chaining,
+    // scalar), then align every staged task in one run. Reads are 2
+    // per pair, indexed [2 * p + side].
+    beginBatch(2 * count);
+    for (std::size_t p = 0; p < count; ++p) {
+        stageRead(static_cast<u32>(2 * p), pairs[p]->first);
+        stageRead(static_cast<u32>(2 * p + 1), pairs[p]->second);
+    }
+    alignStaged(2 * count);
+
+    std::vector<Mapping> &mappings = batch_.mappings;
+    const std::vector<u32> &ends = batch_.mappingEnds;
     for (std::size_t p = 0; p < count; ++p) {
         const u32 begin1 = p == 0 ? 0 : ends[2 * p - 1];
         const std::span<Mapping> c1(mappings.data() + begin1,

@@ -71,20 +71,25 @@ class Mm2Lite
     Mm2Lite(const genomics::Reference &ref, const Mm2LiteParams &params,
             std::shared_ptr<const MinimizerIndex> index);
 
-    /** Map a single read; returns candidate mappings sorted by score. */
+    /**
+     * Map a single read; returns candidate mappings sorted by score.
+     * A one-read run of the staging mapPairsBatch() uses.
+     */
     std::vector<genomics::Mapping> mapRead(const genomics::Read &read);
 
-    /** Map a pair with the FR orientation / insert-size constraint. */
+    /**
+     * Map a pair with the FR orientation / insert-size constraint: a
+     * one-pair mapPairsBatch().
+     */
     genomics::PairMapping mapPair(const genomics::ReadPair &pair);
 
     /**
      * Map @p count pairs through the interleaved DP engine: every
      * chain alignment of every read in the batch joins one
      * align::fitAlignBatch() run, so length-uniform short-read batches
-     * fill all SIMD lanes across read and pair boundaries. Per-pair
-     * results are bit-identical to mapPair() — the seeding, chaining,
-     * filtering and pairing logic is shared code, and the batch DP
-     * engine is lane-exact against the scalar one.
+     * fill all SIMD lanes across read and pair boundaries. Lanes never
+     * exchange data, so a pair's mapping does not depend on the batch
+     * it joins or on the SIMD backend.
      */
     void mapPairsBatch(const genomics::ReadPair *const *pairs,
                        std::size_t count, genomics::PairMapping *out);
@@ -92,6 +97,7 @@ class Mm2Lite
     /**
      * Align a read at a known candidate position (the "DP-Alignment"
      * fallback entry of Fig. 10 that bypasses seeding and chaining).
+     * One scalar fitAlign(); alignAtBatch() is the batched form.
      *
      * @param read Read to align (already in forward orientation).
      * @param pos Expected start of the alignment on the reference.
@@ -137,6 +143,15 @@ class Mm2Lite
 
     /** Run the staged batch_.tasks through fitAlignBatch(). */
     void runBatchTasks();
+    /** Clear the task staging for a run over @p reads reads. */
+    void beginBatch(std::size_t reads);
+    /** Plan @p read and stage one FitTask per chain window as read @p r. */
+    void stageRead(u32 r, const genomics::Read &read);
+    /**
+     * Align the staged tasks of @p reads reads into batch_.mappings,
+     * grouped by read (batch_.mappingEnds).
+     */
+    void alignStaged(std::size_t reads);
 
     /** Seed @p read into plan_.anchors. */
     void collectAnchors(const genomics::Read &read);
@@ -157,16 +172,16 @@ class Mm2Lite
     util::StageTimers timers_;
     DpWork dpWork_;
     /**
-     * DP working set reused across every alignment this engine runs
-     * (drivers keep one Mm2Lite per worker, so the fallback path of a
-     * whole batch shares one allocation).
+     * DP working set of alignAt(), reused across calls (drivers keep
+     * one Mm2Lite per worker).
      */
     align::AlignScratch alignScratch_;
     /** Lane-major working set of the interleaved batch DP engine. */
     align::BatchAlignScratch batchScratch_;
     /**
-     * Task staging of mapPairsBatch()/alignAtBatch(), cleared per call
-     * with its capacity kept.
+     * Task staging of mapPairsBatch() (and so of mapRead() and
+     * mapPair()) and of alignAtBatch(), cleared per call with its
+     * capacity kept.
      */
     struct
     {

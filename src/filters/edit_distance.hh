@@ -1,7 +1,6 @@
 /**
  * @file
- * Unit-cost edit distance (Levenshtein): bit-parallel primary kernels
- * plus the scalar DP retained as the ground-truth oracle.
+ * Unit-cost edit distance (Levenshtein) with bit-parallel kernels.
  *
  * The primary implementations use Myers' 1999 bit-vector algorithm
  * (blocked for patterns longer than 64 bases, with the edlib-style
@@ -14,10 +13,8 @@
  * prefix (zero horizontal boundary deltas) and a running minimum over
  * the last row for the free suffix.
  *
- * The *Scalar functions are the original O(n*m) DP kept verbatim: they
- * are the oracle the randomized property tests and the filter-soundness
- * tests validate against (lower-bounding filters must never report an
- * edit estimate above the true distance).
+ * The original O(n*m) DPs are the oracles of these kernels; they live
+ * in tests/oracles (edit_distance_ref.cc).
  */
 
 #ifndef GPX_FILTERS_EDIT_DISTANCE_HH
@@ -50,19 +47,6 @@ u32 editDistanceBounded(const genomics::DnaView &a,
 u32 candidateEditDistance(const genomics::DnaView &read,
                           const genomics::DnaView &window, u32 center,
                           u32 slack);
-
-/** Scalar O(n*m) oracle for editDistance (tests/benches only). */
-u32 editDistanceScalar(const genomics::DnaView &a,
-                       const genomics::DnaView &b);
-
-/** Scalar banded oracle for editDistanceBounded (tests/benches only). */
-u32 editDistanceBoundedScalar(const genomics::DnaView &a,
-                              const genomics::DnaView &b, u32 k);
-
-/** Scalar semi-global oracle for candidateEditDistance (tests only). */
-u32 candidateEditDistanceScalar(const genomics::DnaView &read,
-                                const genomics::DnaView &window, u32 center,
-                                u32 slack);
 
 } // namespace filters
 } // namespace gpx

@@ -82,20 +82,6 @@ zeroRunCount(const align::HammingMask &mask)
 }
 
 u32
-zeroRunCountRef(const align::HammingMask &mask)
-{
-    u32 runs = 0;
-    bool inRun = false;
-    for (u32 i = 0; i < mask.bits; ++i) {
-        const bool zero = !mask.test(i);
-        if (zero && !inRun)
-            ++runs;
-        inRun = zero;
-    }
-    return runs;
-}
-
-u32
 zeroCount(const align::HammingMask &mask)
 {
     return mask.bits - mask.popcount();

@@ -35,13 +35,9 @@ align::HammingMask orMasks(const align::HammingMask &a,
  * Number of maximal runs of 0s (error clusters) in the mask.
  * Word-parallel: counts run starts as popcount(~m & ((m << 1) | 1))
  * with the carry threaded across words, ~64x fewer operations than the
- * bit-at-a-time walk (kept as zeroRunCountRef, the property-test
- * oracle).
+ * bit-at-a-time walk (the oracle under tests/oracles).
  */
 u32 zeroRunCount(const align::HammingMask &mask);
-
-/** Bit-at-a-time reference implementation of zeroRunCount(). */
-u32 zeroRunCountRef(const align::HammingMask &mask);
 
 /** Number of 0 bits (positions matching under no shift). */
 u32 zeroCount(const align::HammingMask &mask);

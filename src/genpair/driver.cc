@@ -17,6 +17,8 @@ struct PairWorkerContext : WorkerContext
     std::unique_ptr<LightAlignGate> gate;
     /** A rendering job's mappings: one block's, reused per block. */
     std::vector<genomics::PairMapping> blockMappings;
+    /** The block's pairs as mapPairsBatch() takes them (baseline). */
+    std::vector<const genomics::ReadPair *> blockPairs;
 
     PairWorkerContext(
         const genomics::Reference &ref, const SeedMapView &map,
@@ -99,8 +101,10 @@ ParallelMapper::mapAll(const std::vector<genomics::ReadPair> &pairs,
                 ctx.pipeline.mapBatch(in + begin, n, out,
                                       trace ? trace + begin : nullptr);
             } else {
+                ctx.blockPairs.resize(n);
                 for (u64 i = 0; i < n; ++i)
-                    out[i] = ctx.fallback.mapPair(in[begin + i]);
+                    ctx.blockPairs[i] = in + begin + i;
+                ctx.fallback.mapPairsBatch(ctx.blockPairs.data(), n, out);
             }
             if (renderer != nullptr) {
                 genomics::SamBlock block;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.hh"
 #include "util/simd.hh"
 
 namespace gpx {
@@ -122,34 +121,12 @@ LightAligner::evaluateHypotheses(u32 read_len, u32 center,
     return best;
 }
 
-LightResult
-LightAligner::alignWindow(const DnaView &read, const DnaView &window,
-                          u32 center) const
-{
-    const u32 n = static_cast<u32>(read.size());
-    auto masks = align::shiftedMasks(read, window, center,
-                                     params_.maxShift);
-
-    // Per-mask statistics (the hardware computes these for all masks
-    // in parallel while streaming the read, §5.4).
-    std::vector<u32> popcount(masks.size());
-    std::vector<u32> prefix(masks.size()), suffix(masks.size());
-    for (std::size_t i = 0; i < masks.size(); ++i) {
-        popcount[i] = masks[i].popcount();
-        prefix[i] = masks[i].onesPrefix();
-        suffix[i] = masks[i].onesSuffix();
-    }
-
-    return evaluateHypotheses(n, center, popcount.data(), prefix.data(),
-                              suffix.data(), 1);
-}
-
 namespace {
 
 /**
- * Window extent check shared by every alignment form: the window of a
- * read of @p n bases must cover [candidate-e, candidate+n+e) inside one
- * chromosome; otherwise the pair falls back to DP.
+ * Window extent check of one candidate: the window of a read of @p n
+ * bases must cover [candidate-e, candidate+n+e) inside one chromosome;
+ * otherwise the pair falls back to DP.
  */
 inline bool
 windowFor(const genomics::Reference &ref, u64 n, GlobalPos candidate,
@@ -167,47 +144,11 @@ windowFor(const genomics::Reference &ref, u64 n, GlobalPos candidate,
 LightResult
 LightAligner::align(const DnaView &read, GlobalPos candidate) const
 {
-    const u32 e = params_.maxShift;
-    GlobalPos wstart = 0;
-    u64 wlen = 0;
-    if (!windowFor(ref_, read.size(), candidate, e, &wstart, &wlen))
-        return {};
-
-    DnaView window = ref_.windowView(wstart, wlen);
-    LightResult res = alignWindow(read, window, e);
-    if (res.aligned)
-        res.pos = wstart + res.pos; // window-relative -> global
-    return res;
-}
-
-LightResult
-LightAligner::alignPlanes(const align::BitPlanes &read,
-                          GlobalPos candidate,
-                          LightAlignScratch &scratch) const
-{
-    const u32 e = params_.maxShift;
-    const u32 n = read.bits();
-    GlobalPos wstart = 0;
-    u64 wlen = 0;
-    if (!windowFor(ref_, n, candidate, e, &wstart, &wlen))
-        return {};
-
-    scratch.window.assign(ref_.windowView(wstart, wlen));
-    align::shiftedMasksInto(read, scratch.window, e, e, scratch.masks);
-    scratch.popcount.resize(scratch.masks.size());
-    scratch.prefix.resize(scratch.masks.size());
-    scratch.suffix.resize(scratch.masks.size());
-    for (std::size_t i = 0; i < scratch.masks.size(); ++i) {
-        scratch.popcount[i] = scratch.masks[i].popcount();
-        scratch.prefix[i] = scratch.masks[i].onesPrefix();
-        scratch.suffix[i] = scratch.masks[i].onesSuffix();
-    }
-
-    LightResult res = evaluateHypotheses(
-        n, e, scratch.popcount.data(), scratch.prefix.data(),
-        scratch.suffix.data(), 1);
-    if (res.aligned)
-        res.pos = wstart + res.pos; // window-relative -> global
+    const align::BitPlanes planes(read);
+    const LightBatchItem item{ &planes, candidate };
+    LightBatchScratch scratch;
+    LightResult res;
+    alignBatch(&item, 1, scratch, &res);
     return res;
 }
 
@@ -217,18 +158,11 @@ LightAligner::alignBatch(const LightBatchItem *items, std::size_t count,
                          LightResult *out) const
 {
     const u32 e = params_.maxShift;
-    const util::SimdBackend backend = util::activeSimdBackend();
-    const u32 maxLanes = util::simdMaskLanes(backend);
+    const u32 maxLanes = util::simdMaskLanes(util::activeSimdBackend());
 
     std::size_t i = 0;
     while (i < count) {
         const u32 n = items[i].read->bits();
-        if (backend == util::SimdBackend::Scalar || n == 0) {
-            out[i] = alignPlanes(*items[i].read, items[i].candidate,
-                                 scratch.scalar);
-            ++i;
-            continue;
-        }
 
         // Lane group: consecutive items with this read length.
         std::size_t g = i + 1;
@@ -236,9 +170,8 @@ LightAligner::alignBatch(const LightBatchItem *items, std::size_t count,
                items[g].read->bits() == n)
             ++g;
 
-        // Stage the lanes whose window is in bounds; out-of-window
-        // items keep the scalar contract (empty result, zero
-        // hypotheses) without burning a lane.
+        // Stage the lanes whose window is in bounds; an out-of-window
+        // item gets an empty result with zero hypotheses and no lane.
         if (scratch.windows.size() < maxLanes)
             scratch.windows.resize(maxLanes);
         u32 lanes = 0;

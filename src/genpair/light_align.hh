@@ -118,21 +118,6 @@ class LightAlignGate
 };
 
 /**
- * Reusable scratch of the scalar light-alignment datapath (the
- * SimdBackend::Scalar form of alignBatch()): window planes, the 2e+1
- * Hamming masks and their statistics, so a warm attempt allocates
- * nothing. The read's planes come prebuilt with each batch item.
- */
-struct LightAlignScratch
-{
-    align::BitPlanes window;
-    std::vector<align::HammingMask> masks;
-    std::vector<u32> popcount;
-    std::vector<u32> prefix;
-    std::vector<u32> suffix;
-};
-
-/**
  * One candidate of a LightAligner::alignBatch() run: the read's
  * prebuilt bit planes plus the candidate start. Planes are shared
  * across the candidates of one read, so the batch stage builds them
@@ -153,7 +138,6 @@ struct LightBatchScratch
 {
     align::ShdBatch shd;
     std::vector<align::BitPlanes> windows;
-    LightAlignScratch scalar; ///< SimdBackend::Scalar fallback path
 };
 
 /** The Light Alignment engine. */
@@ -170,39 +154,29 @@ class LightAligner
 
     /**
      * Attempt to light-align @p read with its first base at reference
-     * position @p candidate. The reference window is consumed as a
-     * zero-copy view; no bases are materialized.
+     * position @p candidate: a one-item alignBatch() over a fresh
+     * scratch. The convenience form for filters, benches and examples;
+     * the stage graph batches its candidates instead.
      */
     LightResult align(const genomics::DnaView &read,
                       GlobalPos candidate) const;
 
     /**
-     * SIMD-across-batch form: evaluate @p count candidates, computing
-     * the 2e+1 shifted Hamming masks of up to simdMaskLanes() lanes
-     * per vector register (align::ShdBatch). All reads of one lane
-     * group must share a length; the grouping is handled here —
-     * consecutive items with equal read length fill a group, a length
-     * change starts a new one. out[i] is bit-identical to the scalar
-     * align() of the same read and candidate (pinned by
-     * tests/test_simd.cc); under SimdBackend::Scalar every item runs
-     * the production scalar datapath.
+     * Evaluate @p count candidates, computing the 2e+1 shifted Hamming
+     * masks of up to simdMaskLanes() lanes per vector register
+     * (align::ShdBatch; one lane under SimdBackend::Scalar). All reads
+     * of one lane group must share a length; the grouping is handled
+     * here: consecutive items with equal read length fill a group, a
+     * length change starts a new one. Results do not depend on the
+     * backend or the grouping; tests/test_simd.cc pins out[i] against
+     * the mask-by-mask oracle under every backend.
      */
     void alignBatch(const LightBatchItem *items, std::size_t count,
                     LightBatchScratch &scratch, LightResult *out) const;
 
     /**
-     * Core mask-based alignment of @p read against @p window whose
-     * position @p center corresponds to the candidate start (the window
-     * must extend maxShift bases on each side). Exposed for unit tests
-     * and for the hardware-model cycle accounting.
-     */
-    LightResult alignWindow(const genomics::DnaView &read,
-                            const genomics::DnaView &window,
-                            u32 center) const;
-
-    /**
-     * Hypothesis evaluation over per-shift mask statistics — the
-     * shared core of every alignment form. The search only ever needs
+     * Hypothesis evaluation over per-shift mask statistics, run per
+     * lane by alignBatch(). The search only ever needs
      * the three statistics per shift, never raw mask bits, which is
      * what lets the batch kernel hand lane-major stat arrays straight
      * in: entry s of each array lives at [s * stride]. Every score
@@ -216,11 +190,6 @@ class LightAligner
                                    u32 stride) const;
 
   private:
-    /** Scalar datapath over prebuilt read planes. */
-    LightResult alignPlanes(const align::BitPlanes &read,
-                            GlobalPos candidate,
-                            LightAlignScratch &scratch) const;
-
     const genomics::Reference &ref_;
     LightAlignParams params_;
 };

@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "genpair/stages.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
 
@@ -47,7 +48,8 @@ PipelineStats::writeJson(std::ostream &os) const
     os << "{\n"
        << "  \"simd\": {\"backend\": \""
        << util::simdBackendName(util::activeSimdBackend())
-       << "\", \"reason\": \"" << util::simdBackendReason() << "\"},\n"
+       << "\", \"reason\": \""
+       << util::jsonEscape(util::simdBackendReason()) << "\"},\n"
        << "  \"pairs_total\": " << pairsTotal << ",\n"
        << "  \"light_aligned\": " << lightAligned << ",\n"
        << "  \"dp_aligned\": " << dpAligned << ",\n"

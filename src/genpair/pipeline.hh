@@ -175,17 +175,18 @@ class GenPairPipeline
                     baseline::Mm2Lite *fallback);
 
     /**
-     * Map one pair through the full Fig. 3 pipeline. A batch-of-one
-     * through the stage graph; kept so every historical call site (and
-     * the golden-corpus digest) is untouched by the batched engine.
+     * Map one pair through the full Fig. 3 pipeline: a batch of one
+     * through the stage graph, for callers that map pair by pair
+     * (benches, examples, tests).
      */
     genomics::PairMapping mapPair(const genomics::ReadPair &pair);
 
     /**
      * Map @p n pairs through the batched stage graph: out[i] is the
-     * mapping of pairs[i]. Bit-identical to calling mapPair() per pair
-     * (stats included); the batch form exists for throughput — SoA
-     * lanes and scratch reuse across the whole batch. When @p trace is
+     * mapping of pairs[i], the same as mapPair() gives per pair, and so
+     * is every counter but dpLaneGroups (a bigger batch needs fewer DP
+     * sweeps). The batch fills SIMD lanes across pairs and reuses
+     * scratch across the whole batch. When @p trace is
      * non-null it must hold @p n records; each pair's stage events are
      * recorded for hwsim co-simulation (see stages.hh).
      */

@@ -7,12 +7,14 @@
  * LightAlignStage -> FallbackStage. Each stage is a pure function over
  * the batch: it reads the lanes earlier stages filled, appends its own,
  * routes pairs that exit the fast path (the Fig. 10 fallback classes)
- * and bumps its StageCounters. Per-pair work is bit-identical to the
- * historical monolithic mapPair() — the golden-corpus SAM digest pins
- * that — but the batch form reuses every scratch buffer across pairs
- * (revComp storage, CSR candidate stores, light-alignment bit planes
- * and masks), which removes the per-pair allocation traffic that
- * dominated the monolith's overhead.
+ * and bumps its StageCounters. The graph is the only mapping path:
+ * GenPairPipeline::mapPair() is a batch of one, and a pair's mapping
+ * does not depend on the batch it travels in (test_driver pins that;
+ * the golden-corpus SAM digest pins the bytes). The light-align stage
+ * runs LightAligner::alignBatch() and the fallback stage runs
+ * Mm2Lite::mapPairsBatch()/alignAtBatch(), and every scratch buffer
+ * (revComp storage, CSR candidate stores, bit planes, mask staging)
+ * is reused across batches.
  *
  * Lane convention (a proper FR pair maps one read forward and the other
  * reverse-complemented; both fragment orientations are evaluated):

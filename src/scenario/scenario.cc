@@ -22,6 +22,7 @@
 #include "simdata/genome_generator.hh"
 #include "simdata/read_simulator.hh"
 #include "util/gzip_stream.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace gpx {
@@ -674,27 +675,6 @@ runScenario(const ScenarioSpec &spec, const ScenarioOptions &options)
     return result;
 }
 
-namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 void
 writeScenariosJson(std::ostream &os,
                    const std::vector<ScenarioResult> &rows, double scale,
@@ -711,14 +691,14 @@ writeScenariosJson(std::ostream &os,
        << "  \"scenarios\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const ScenarioResult &r = rows[i];
-        os << "    {\"name\": \"" << jsonEscape(r.name) << "\","
+        os << "    {\"name\": \"" << util::jsonEscape(r.name) << "\","
            << " \"kind\": \"" << kindName(r.kind) << "\",\n"
            << "     \"skipped\": " << (r.skipped ? "true" : "false")
-           << ", \"skip_reason\": \"" << jsonEscape(r.skipReason)
+           << ", \"skip_reason\": \"" << util::jsonEscape(r.skipReason)
            << "\",\n"
            << "     \"rejected\": " << (r.rejected ? "true" : "false")
            << ", \"reject_diagnostic\": \""
-           << jsonEscape(r.rejectDiagnostic) << "\",\n"
+           << util::jsonEscape(r.rejectDiagnostic) << "\",\n"
            << "     \"reads\": " << r.reads << ", \"mapped\": "
            << r.mapped << ", \"correct\": " << r.correct
            << ", \"accuracy\": " << r.accuracy << ",\n"
@@ -734,7 +714,7 @@ writeScenariosJson(std::ostream &os,
         for (std::size_t a = 0; a < r.attribution.size(); ++a) {
             const eval::RegionAccuracy &region = r.attribution[a];
             os << (a ? ", " : "") << "{\"label\": \""
-               << jsonEscape(region.label) << "\", \"reads\": "
+               << util::jsonEscape(region.label) << "\", \"reads\": "
                << region.readsTotal << ", \"mapped\": " << region.mapped
                << ", \"correct\": " << region.correct
                << ", \"cross_mapped\": " << region.crossMapped

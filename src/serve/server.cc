@@ -7,6 +7,7 @@
 
 #include "genomics/fasta.hh"
 #include "genomics/sam.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
 
@@ -181,7 +182,8 @@ ServeServer::statsJson() const
     os << "{\n\"server\": {\n"
        << "  \"simd\": {\"backend\": \""
        << util::simdBackendName(util::activeSimdBackend())
-       << "\", \"reason\": \"" << util::simdBackendReason() << "\"},\n"
+       << "\", \"reason\": \""
+       << util::jsonEscape(util::simdBackendReason()) << "\"},\n"
        << "  \"connections_accepted\": "
        << counters_.connectionsAccepted << ",\n"
        << "  \"requests_served\": " << counters_.requestsServed << ",\n"
@@ -204,7 +206,7 @@ ServeServer::statsJson() const
        << "\n},\n"
        << "\"mounts\": {\n";
     for (std::size_t i = 0; i < mounts_.size(); ++i) {
-        os << "\"" << mounts_[i].name << "\": ";
+        os << "\"" << util::jsonEscape(mounts_[i].name) << "\": ";
         mounts_[i].stats.writeJson(os);
         if (i + 1 < mounts_.size())
             os << ",";

@@ -17,6 +17,7 @@
 #include "filters/edit_distance.hh"
 #include "genomics/reference.hh"
 #include "genomics/sequence.hh"
+#include "oracles/oracles.hh"
 #include "util/rng.hh"
 
 namespace {
@@ -310,7 +311,7 @@ TEST(WindowView, MatchesCopyAcrossChromosomes)
 // Packed-word minimizer stream vs the original per-base deque oracle.
 // ---------------------------------------------------------------------------
 
-/** The retained per-base implementation (extractMinimizersScalar). */
+/** The per-base implementation (extractMinimizersScalar). */
 std::vector<baseline::Minimizer>
 minimizerOracle(const DnaSequence &seq, const baseline::MinimizerParams &p)
 {

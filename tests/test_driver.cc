@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "genpair/driver.hh"
@@ -228,6 +229,35 @@ expectSameMapping(const genomics::Mapping &a, const genomics::Mapping &b)
     EXPECT_EQ(a.reverse, b.reverse);
     EXPECT_EQ(a.score, b.score);
     EXPECT_EQ(a.cigar, b.cigar);
+}
+
+TEST_F(DriverTest, BaselineBlocksMatchPerPair)
+{
+    // The MM2-lite baseline maps each worker block with one
+    // Mm2Lite::mapPairsBatch() run: every pair must map as it does
+    // alone, whatever block or thread count it lands in. (The golden
+    // corpus pins the baseline's bytes under every SIMD backend.)
+    DriverConfig cfg;
+    cfg.useGenPair = false;
+    cfg.fallbackIndex = std::make_shared<const baseline::MinimizerIndex>(
+        ref_, cfg.fallback.minimizers);
+    baseline::Mm2Lite solo(ref_, cfg.fallback, cfg.fallbackIndex);
+    std::vector<genomics::PairMapping> want;
+    for (const auto &pair : pairs_)
+        want.push_back(solo.mapPair(pair));
+
+    for (u32 threads : { 1u, 4u }) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        cfg.threads = threads;
+        const auto got = ParallelMapper(ref_, *map_, cfg).mapAll(pairs_);
+        ASSERT_EQ(got.mappings.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            SCOPED_TRACE("pair " + std::to_string(i));
+            EXPECT_EQ(got.mappings[i].path, want[i].path);
+            expectSameMapping(got.mappings[i].first, want[i].first);
+            expectSameMapping(got.mappings[i].second, want[i].second);
+        }
+    }
 }
 
 TEST(DriverGrainTest, GuidedBlocksMapLikeSerial64PairBatches)

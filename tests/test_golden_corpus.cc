@@ -42,6 +42,13 @@ using genomics::Reference;
 /** Pinned digest of header + all records over the golden corpus. */
 const char kGoldenSamMd5[] = "6e4b292bd35bc3babd6ffd733c44612f";
 
+/**
+ * The same corpus mapped by MM2-lite alone (DriverConfig::useGenPair =
+ * false, gpx_map --baseline), recorded when that path still aligned
+ * one chain window at a time with the scalar DP engine.
+ */
+const char kGoldenBaselineSamMd5[] = "b1f7214ea2481d9b39ea058c59fdc41a";
+
 const char *
 goldenDir()
 {
@@ -124,6 +131,38 @@ TEST_F(GoldenCorpusTest, WorkerPoolReproducesPinnedDigest)
             sam.writePair(pairs_[i], result.mappings[i]);
     });
     EXPECT_EQ(digest, kGoldenSamMd5);
+}
+
+TEST_F(GoldenCorpusTest, BaselineDriverReproducesPinnedDigest)
+{
+    // The baseline maps each worker block through one
+    // Mm2Lite::mapPairsBatch() run; neither the block partition (the
+    // thread count) nor the SIMD backend may move its bytes.
+    genpair::DriverConfig config = config_;
+    config.useGenPair = false;
+    config.fallbackIndex = std::make_shared<const baseline::MinimizerIndex>(
+        ref_, config.fallback.minimizers); // built once for every run
+    const util::SimdBackend prev = util::activeSimdBackend();
+    for (util::SimdBackend backend :
+         { util::SimdBackend::Scalar, util::SimdBackend::Avx2,
+           util::SimdBackend::Avx512 }) {
+        if (util::forceSimdBackend(backend) != backend)
+            continue; // the host cannot run it
+        for (u32 threads : { 1u, 4u }) {
+            SCOPED_TRACE(std::string("backend=") +
+                         util::simdBackendName(backend) +
+                         " threads=" + std::to_string(threads));
+            config.threads = threads;
+            genpair::ParallelMapper mapper(ref_, *map_, config);
+            const auto result = mapper.mapAll(pairs_);
+            EXPECT_EQ(samDigest([&](genomics::SamWriter &sam) {
+                          for (std::size_t i = 0; i < pairs_.size(); ++i)
+                              sam.writePair(pairs_[i], result.mappings[i]);
+                      }),
+                      kGoldenBaselineSamMd5);
+        }
+    }
+    util::forceSimdBackend(prev);
 }
 
 TEST_F(GoldenCorpusTest, StreamingDriverReproducesPinnedDigest)

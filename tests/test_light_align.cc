@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "align/affine.hh"
-#include "align/shd.hh"
 #include "genomics/reference.hh"
 #include "genpair/light_align.hh"
+#include "oracles/oracles.hh"
 #include "util/rng.hh"
 
 namespace {
@@ -23,11 +23,12 @@ namespace {
 using namespace gpx;
 using genomics::DnaSequence;
 using genomics::Reference;
+using genpair::cigarOracle;
 using genpair::LightAligner;
+using genpair::lightAlignOracle;
 using genpair::LightAlignParams;
+using genpair::LightOracleResult;
 using genpair::LightResult;
-using genomics::Cigar;
-using genomics::CigarOp;
 
 /** Random reference with one chromosome. */
 Reference
@@ -262,101 +263,8 @@ TEST_P(LightVsDp, ScoreMatchesDpOptimum)
 INSTANTIATE_TEST_SUITE_P(SingleEditClasses, LightVsDp,
                          ::testing::Range(0, 40));
 
-/** What the CIGAR-building oracle reports for one attempt. */
-struct OracleResult
-{
-    bool aligned = false;
-    i32 score = 0;
-    GlobalPos pos = kInvalidPos;
-    u32 hypothesesTried = 0;
-    Cigar cigar;
-    u32 ties = 0; ///< later hypotheses that matched the winning score
-};
-
-/**
- * Oracle of LightAligner::evaluateHypotheses(): the enumeration that
- * builds a CIGAR for every hypothesis passing the score gate and keeps
- * the first best-scoring one, as the search did before it kept a
- * compact edit.
- */
-OracleResult
-cigarOracle(const LightAlignParams &params, u32 n, u32 center,
-            const u32 *popcount, const u32 *prefix, const u32 *suffix,
-            u32 stride)
-{
-    const i32 e = static_cast<i32>(params.maxShift);
-    const i32 minScore = params.minScoreFor(n);
-    auto at = [&](const u32 *array, i32 s) {
-        return array[static_cast<std::size_t>(s + e) * stride];
-    };
-    OracleResult best;
-    auto consider = [&](i32 score, i32 shift, Cigar cigar) {
-        if (best.aligned && score == best.score)
-            ++best.ties;
-        if (score > best.score || !best.aligned) {
-            best.ties = 0;
-            best.aligned = true;
-            best.score = score;
-            best.pos = static_cast<GlobalPos>(static_cast<i64>(center) +
-                                              shift);
-            best.cigar = std::move(cigar);
-        }
-    };
-    for (i32 s = -e; s <= e; ++s) {
-        ++best.hypothesesTried;
-        const u32 mm = n - at(popcount, s);
-        if (mm > params.maxMismatches)
-            continue;
-        const i32 score = params.scoring.scoreFromCounts(n - mm, mm);
-        if (score < minScore)
-            continue;
-        Cigar cigar;
-        cigar.push(CigarOp::Match, n);
-        consider(score, s, std::move(cigar));
-    }
-    for (i32 s1 = -e; s1 <= e; ++s1) {
-        for (i32 s2 = -e; s2 <= e; ++s2) {
-            if (s1 == s2)
-                continue;
-            ++best.hypothesesTried;
-            const u32 pre = at(prefix, s1);
-            const u32 suf = at(suffix, s2);
-            Cigar cigar;
-            if (s2 > s1) {
-                const u32 k = static_cast<u32>(s2 - s1);
-                if (pre + suf < n)
-                    continue;
-                const i32 score = params.scoring.scoreFromCounts(n, 0, k);
-                if (score < minScore)
-                    continue;
-                const u32 p = n - suf;
-                cigar.push(CigarOp::Match, p);
-                cigar.push(CigarOp::Deletion, k);
-                cigar.push(CigarOp::Match, n - p);
-                consider(score, s1, std::move(cigar));
-            } else {
-                const u32 k = static_cast<u32>(s1 - s2);
-                if (k >= n || pre + suf < n - k)
-                    continue;
-                const i32 score =
-                    params.scoring.scoreFromCounts(n - k, 0, k);
-                if (score < minScore)
-                    continue;
-                u32 p = suf <= n - k ? n - k - suf : 0;
-                if (p > pre)
-                    p = pre;
-                cigar.push(CigarOp::Match, p);
-                cigar.push(CigarOp::Insertion, k);
-                cigar.push(CigarOp::Match, n - k - p);
-                consider(score, s1, std::move(cigar));
-            }
-        }
-    }
-    return best;
-}
-
 void
-expectSame(const OracleResult &want, const LightResult &got)
+expectSame(const LightOracleResult &want, const LightResult &got)
 {
     ASSERT_EQ(want.aligned, got.aligned);
     EXPECT_EQ(want.hypothesesTried, got.hypothesesTried);
@@ -414,7 +322,7 @@ TEST_P(HypothesisOracle, RandomStatsMatchCigarOracle)
         const LightResult got = aligner.evaluateHypotheses(
             n, center, popcount.data() + lane, prefix.data() + lane,
             suffix.data() + lane, stride);
-        const OracleResult want = cigarOracle(
+        const LightOracleResult want = cigarOracle(
             params, n, center, popcount.data() + lane,
             prefix.data() + lane, suffix.data() + lane, stride);
         expectSame(want, got);
@@ -472,21 +380,8 @@ TEST(HypothesisOracle, RealReadsMatchCigarOracle)
         const GlobalPos cand = pos + rng.below(2 * e + 1) - e;
         SCOPED_TRACE("iter=" + std::to_string(iter));
 
-        const genomics::DnaView window =
-            ref.windowView(cand - e, read.size() + 2 * e);
-        const auto masks = align::shiftedMasks(read, window, e, e);
-        std::vector<u32> popcount, prefix, suffix;
-        for (const auto &m : masks) {
-            popcount.push_back(m.popcount());
-            prefix.push_back(m.onesPrefix());
-            suffix.push_back(m.onesSuffix());
-        }
-        OracleResult want =
-            cigarOracle(params, 150, e, popcount.data(), prefix.data(),
-                        suffix.data(), 1);
-        expectSame(want, aligner.alignWindow(read, window, e));
-        if (want.aligned)
-            want.pos += cand - e; // window-relative -> global
+        const LightOracleResult want =
+            lightAlignOracle(ref, params, read, cand);
         expectSame(want, aligner.align(read, cand));
         tied += want.ties > 0;
     }

@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "genomics/fasta.hh"
@@ -61,6 +63,160 @@ slurp(const std::string &path)
     std::ostringstream os;
     os << is.rdbuf();
     return os.str();
+}
+
+/**
+ * True when @p text is exactly one JSON value (RFC 8259 grammar); a
+ * validator, not a parser, for the STATS documents the server writes.
+ */
+class JsonChecker
+{
+  public:
+    explicit JsonChecker(const std::string &text) : s_(text) {}
+
+    bool
+    valid()
+    {
+        return value() && (skipSpace(), i_ == s_.size());
+    }
+
+  private:
+    void
+    skipSpace()
+    {
+        while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t' ||
+                                  s_[i_] == '\n' || s_[i_] == '\r'))
+            ++i_;
+    }
+
+    bool
+    eat(char c)
+    {
+        skipSpace();
+        if (i_ < s_.size() && s_[i_] == c) {
+            ++i_;
+            return true;
+        }
+        return false;
+    }
+
+    bool
+    word(const char *w)
+    {
+        const std::string_view want(w);
+        if (s_.compare(i_, want.size(), want) != 0)
+            return false;
+        i_ += want.size();
+        return true;
+    }
+
+    bool
+    value()
+    {
+        skipSpace();
+        if (i_ == s_.size())
+            return false;
+        switch (s_[i_]) {
+        case '{': return members('}', true);
+        case '[': return members(']', false);
+        case '"': return string();
+        case 't': return word("true");
+        case 'f': return word("false");
+        case 'n': return word("null");
+        default: return number();
+        }
+    }
+
+    /** An object (@p keyed) or array body up to @p close. */
+    bool
+    members(char close, bool keyed)
+    {
+        ++i_;
+        if (eat(close))
+            return true;
+        do {
+            if (keyed) {
+                skipSpace();
+                if (!string() || !eat(':'))
+                    return false;
+            }
+            if (!value())
+                return false;
+        } while (eat(','));
+        return eat(close);
+    }
+
+    bool
+    string()
+    {
+        if (i_ == s_.size() || s_[i_] != '"')
+            return false;
+        for (++i_; i_ < s_.size(); ++i_) {
+            const unsigned char c = static_cast<unsigned char>(s_[i_]);
+            if (c == '"') {
+                ++i_;
+                return true;
+            }
+            if (c < 0x20)
+                return false;
+            if (c != '\\')
+                continue;
+            if (++i_ == s_.size())
+                return false;
+            if (s_[i_] == 'u') {
+                for (int h = 0; h < 4; ++h)
+                    if (++i_ == s_.size() || !std::isxdigit(
+                                                static_cast<unsigned char>(
+                                                    s_[i_])))
+                        return false;
+            } else if (std::string_view("\"\\/bfnrt").find(s_[i_]) ==
+                       std::string_view::npos) {
+                return false;
+            }
+        }
+        return false;
+    }
+
+    bool
+    digits()
+    {
+        const std::size_t from = i_;
+        while (i_ < s_.size() && std::isdigit(static_cast<unsigned char>(
+                                     s_[i_])))
+            ++i_;
+        return i_ > from;
+    }
+
+    bool
+    number()
+    {
+        if (s_[i_] == '-')
+            ++i_;
+        if (!digits())
+            return false;
+        if (i_ < s_.size() && s_[i_] == '.' && (++i_, !digits()))
+            return false;
+        if (i_ < s_.size() && (s_[i_] == 'e' || s_[i_] == 'E')) {
+            ++i_;
+            if (i_ < s_.size() && (s_[i_] == '+' || s_[i_] == '-'))
+                ++i_;
+            return digits();
+        }
+        return true;
+    }
+
+    const std::string &s_;
+    std::size_t i_ = 0;
+};
+
+TEST(JsonChecker, AcceptsAndRejects)
+{
+    for (const char *ok : { "{}", "[1, -2.5e3, true, null]",
+                            "{\"a\\\"b\": {\"c\": [\"\\u00e9\"]}}" })
+        EXPECT_TRUE(JsonChecker(ok).valid()) << ok;
+    for (const char *bad : { "{", "{\"a\": 1,}", "{\"a\"b\": 1}",
+                             "{\"a\\c\": 1}", "[1x]", "\"tab\t\"" })
+        EXPECT_FALSE(JsonChecker(bad).valid()) << bad;
 }
 
 // ---------------------------------------------------------------------
@@ -277,7 +433,7 @@ class ServeGoldenTest : public ::testing::Test
     {
         socketPath_ = ::testing::TempDir() + "gpx_serve_test.sock";
         serve::MountSpec spec;
-        spec.name = "golden";
+        spec.name = mountName_;
         spec.ref = &ref_;
         spec.view = *map_;
         serve::ServeConfig config;
@@ -344,6 +500,7 @@ class ServeGoldenTest : public ::testing::Test
     std::unique_ptr<genpair::SeedMap> map_;
     std::unique_ptr<serve::ServeServer> server_;
     std::string socketPath_;
+    std::string mountName_ = "golden"; ///< startServer()'s one mount
 };
 
 TEST_F(ServeGoldenTest, HelloAnnouncesMounts)
@@ -572,6 +729,22 @@ TEST_F(ServeGoldenTest, StatsFrameAggregatesServedRequests)
         << json;
     EXPECT_NE(json.find("\"golden\""), std::string::npos);
     EXPECT_NE(json.find("\"requests_served\": 1"), std::string::npos);
+    EXPECT_TRUE(JsonChecker(json).valid()) << json;
+}
+
+TEST_F(ServeGoldenTest, StatsJsonEscapesMountNames)
+{
+    // Mount names come from the command line (--mount REF:INDEX:NAME);
+    // a quote or backslash in one must not break the STATS document.
+    mountName_ = "a\"b\\c";
+    startServer();
+    auto client = connect();
+    std::string json;
+    auto status = client.fetchStats(&json);
+    ASSERT_TRUE(status.ok) << status.describe();
+    EXPECT_TRUE(JsonChecker(json).valid()) << json;
+    EXPECT_NE(json.find("\"a\\\"b\\\\c\": {"), std::string::npos)
+        << json;
 }
 
 TEST_F(ServeGoldenTest, ClientKilledMidRequestPayload)

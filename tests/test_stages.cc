@@ -16,6 +16,7 @@
 #include "baseline/mm2lite.hh"
 #include "genpair/pipeline.hh"
 #include "genpair/stages.hh"
+#include "oracles/oracles.hh"
 #include "simdata/genome_generator.hh"
 #include "simdata/read_simulator.hh"
 #include "util/rng.hh"
